@@ -2,43 +2,26 @@
 //
 // The paper ships profile documents as self-describing XML (§2.3). At fleet
 // scale the XML round-trip dominates ingest cost, so producers may instead
-// emit a compact length-prefixed binary encoding of the SAME ProfileReport:
+// emit a compact binary encoding of the SAME ProfileReport ("HFB1"). Crash
+// dossiers ("HDB1") and surface profiles ("HSP1") travel the same pipe, and
+// a document stream ("HFDS1\n") batches any of them for disk or the wire.
 //
-//   "HFB1"                                magic, 4 bytes
-//   str process, str wrapper              str = u32 length + bytes
-//   u32 nfunctions, per function:
-//     str symbol, u64 calls, u64 cycles, u64 contained,
-//     u32 nerrnos, per errno: i32 errno, u64 count
-//   u32 nglobal, per errno: i32 errno, u64 count
-//
-// All integers are little-endian and fixed-width. decode_document() accepts
-// either format (binary by magic, XML otherwise) so a collector can serve a
-// mixed fleet during a rollout. Both decoders are strict: truncated or
-// malformed payloads produce an error Result, never a partial report.
-//
-// A *document stream* is the on-disk/on-wire batch form: a "HFDS1\n" header
-// followed by u32-length-prefixed document payloads (each payload is one
-// XML or binary document).
-//
-// Crash dossiers (ISSUE 4) travel the same pipe as profiles. Their binary
-// form is "HDB1" followed by the dossier fields in declaration order:
-//
-//   "HDB1"                                magic, 4 bytes
-//   str process, u32 detector, str symbol, str detail
-//   u64 seq, u64 tick, u64 cycles, u64 fault_addr
-//   u32 nargs, per arg: str rendered value
-//   u32 ntrace, per entry:
-//     u64 seq, u64 tick, u64 cycles, u64 digest, u32 argc, str symbol
-//   str heap_note, u32 nchunks, per chunk:
-//     u64 header, u64 user, u64 size, u32 flags (bit0 in_use, bit1 suspect)
-//   u32 nregions, per region:
-//     u64 base, u64 size, u32 perm, u32 flags (bit0 suspect), str kind,
-//     str label
+// Every binary document is described once, by a `fields()` function next to
+// its public codec (wire.cpp here; server/{codec,protocol,spec_cache}.cpp
+// for the derivation service). The encoder and the decoder are both derived
+// from that description through the two archives below, so a layout lives
+// in exactly one place. Decoders are strict: a truncated payload, trailing
+// bytes, an out-of-range enumerator or a count the remaining bytes cannot
+// hold is an error Result, never a partial document. decode_document()
+// accepts either encoding (binary by magic, XML otherwise) so a collector
+// can serve a mixed fleet during a rollout.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "debloat/surface.hpp"
@@ -48,54 +31,290 @@
 
 namespace healers::fleet {
 
-// The primitive wire codec every HEALERS binary format is built from:
-// little-endian fixed-width integers and u32-length-prefixed strings. Public
-// so other subsystems (the derivation server's spec cache and request
-// protocol) frame their documents the same way the fleet formats do.
+// The two archives every HEALERS binary format is built from. A schema is
+// a `template <class Ar> void fields(Ar& ar, T& doc)` that visits the
+// document's fields in wire order; running it with a Writer encodes, with a
+// Reader decodes. The wire vocabulary is fixed by field type:
+//
+//   64-bit integers          8 bytes little-endian (i64 as two's complement)
+//   narrower integers        4 bytes little-endian (u8 zero-extended, i32 as
+//                            two's complement; a u8 reads the low byte)
+//   std::string              u32 length + bytes
+//   vector / map             u32 count + elements (maps sum duplicate keys,
+//                            the way the counters they hold combine)
+//   enumeration(e, last)     u32, rejected above `last`
+//   flags(b0, b1, ...)       u32 word, bit i = field i (a bool, or an
+//                            optional's presence, its value following the
+//                            word); unknown bits are ignored
+//   each(v, visit)           u32 count + visit(ar, element) per element
+//   expect(n)                u32 that must equal n
+//   document(v, enc, dec)    a nested document as a length-prefixed blob
 namespace codec {
 
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-void put_str(std::string& out, std::string_view s);
+// True when `payload` starts with `magic`.
+inline bool has_magic(std::string_view payload, std::string_view magic) noexcept {
+  return payload.substr(0, magic.size()) == magic;
+}
 
-// Bounds-checked read cursor over a binary payload. Every read either
-// succeeds completely or marks the cursor failed; callers check ok() once.
-class Cursor {
+// The schema of a sequence element or map entry without one of its own.
+inline constexpr auto kWhole = [](auto& ar, auto& field) { ar(field); };
+
+// Appends each visited field's wire image to `out`.
+class Writer {
  public:
-  explicit Cursor(std::string_view data) : data_(data) {}
+  explicit Writer(std::string& out) noexcept : out_(out) {}
+
+  template <class... Fields>
+  void operator()(const Fields&... fields) {
+    (put(fields), ...);
+  }
+
+  template <class E>
+  void enumeration(E value, E /*last*/) {
+    put(static_cast<std::uint32_t>(value));
+  }
+
+  template <class... Bits>
+  void flags(const Bits&... bits) {
+    std::uint32_t word = 0;
+    unsigned bit = 0;
+    ((word |= static_cast<std::uint32_t>(static_cast<bool>(bits)) << bit++), ...);
+    put(word);
+    const auto put_value = [this](const auto& field) {
+      if constexpr (!std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+        if (field) put(*field);
+      }
+    };
+    (put_value(bits), ...);
+  }
+
+  template <class T, class Visit>
+  void each(std::vector<T>& items, Visit visit) {
+    put(static_cast<std::uint32_t>(items.size()));
+    for (T& item : items) visit(*this, item);
+  }
+
+  void expect(std::uint32_t value) { put(value); }
+
+  template <class T, class Encode, class Decode>
+  void document(const T& value, Encode encode, Decode /*decode*/) {
+    put(std::string_view(encode(value)));
+  }
+
+ private:
+  template <class T>
+  void put(const T& value) {
+    if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      put_le(static_cast<std::uint64_t>(value), 8);
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(!std::is_same_v<T, bool>, "bools travel in flags()");
+      put_le(static_cast<std::uint32_t>(value), 4);
+    } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      const std::string_view text(value);
+      put(static_cast<std::uint32_t>(text.size()));
+      out_.append(text);
+    } else if constexpr (requires { value.size(); }) {
+      put(static_cast<std::uint32_t>(value.size()));
+      for (const auto& item : value) put(item);
+    } else {
+      put(value.first);
+      put(value.second);
+    }
+  }
+
+  void put_le(std::uint64_t value, int width) {
+    char bytes[8];
+    for (int i = 0; i < width; ++i) bytes[i] = static_cast<char>((value >> (8 * i)) & 0xffU);
+    out_.append(bytes, static_cast<std::size_t>(width));
+  }
+
+  std::string& out_;
+};
+
+// The smallest wire image of one element: a default T has every string,
+// sequence and optional empty. Measured once per element schema.
+template <class T, class Visit>
+std::size_t min_encoded_size(Visit visit) {
+  static const std::size_t size = [&visit] {
+    std::string out;
+    Writer writer(out);
+    T value{};
+    visit(writer, value);
+    return out.size();
+  }();
+  return size;
+}
+
+// Strict bounds-checked reader. The first failure sticks: later reads yield
+// zeros and do not advance, and callers check ok() once at the end. A count
+// larger than the remaining bytes could hold at the element's minimum size
+// fails before anything is reserved, so no claim in the payload can make
+// the decoder allocate more than the payload justifies.
+class Reader {
+ public:
+  explicit Reader(std::string_view data) noexcept : data_(data) {}
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::string str();
+  void fail(std::string_view why) {
+    if (!ok_) return;
+    ok_ = false;
+    error_ = why;
+  }
+
+  template <class... Fields>
+  void operator()(Fields&... fields) {
+    (get(fields), ...);
+  }
+
+  template <class E>
+  void enumeration(E& value, E last) {
+    const std::uint32_t raw = u32();
+    if (ok_ && raw > static_cast<std::uint32_t>(last)) fail("enumerator out of range");
+    if (ok_) value = static_cast<E>(raw);
+  }
+
+  template <class... Bits>
+  void flags(Bits&... bits) {
+    const std::uint32_t word = u32();
+    unsigned bit = 0;
+    const auto set = [&](auto& field) {
+      const bool on = ((word >> bit++) & 1U) != 0;
+      if constexpr (std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+        field = on;
+      } else {
+        field.reset();
+        if (on) get(field.emplace());
+      }
+    };
+    (set(bits), ...);
+  }
+
+  template <class T, class Visit>
+  void each(std::vector<T>& items, Visit visit) {
+    const std::uint32_t n = count(min_encoded_size<T>(visit));
+    items.clear();
+    items.reserve(n);
+    for (std::uint32_t i = 0; i < n && ok_; ++i) visit(*this, items.emplace_back());
+  }
+
+  void expect(std::uint32_t value) {
+    if (u32() != value && ok_) fail("count mismatch");
+  }
+
+  template <class T, class Encode, class Decode>
+  void document(T& value, Encode /*encode*/, Decode decode) {
+    const std::string_view blob = bytes();
+    if (!ok_) return;
+    auto decoded = decode(blob);
+    if (!decoded.ok()) return fail(decoded.error().message);
+    value = std::move(decoded).take();
+  }
 
  private:
-  bool take(std::size_t n);
+  template <class T>
+  void get(T& value) {
+    if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      value = static_cast<T>(u64());
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(!std::is_same_v<T, bool>, "bools travel in flags()");
+      value = static_cast<T>(u32());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      value.assign(bytes());
+    } else if constexpr (requires { typename T::mapped_type; }) {
+      std::pair<typename T::key_type, typename T::mapped_type> entry{};
+      const std::uint32_t n = count(min_encoded_size<decltype(entry)>(kWhole));
+      for (std::uint32_t i = 0; i < n && ok_; ++i) {
+        get(entry);
+        if (ok_) value[entry.first] += entry.second;
+      }
+    } else if constexpr (requires { value.emplace_back(); }) {
+      each(value, kWhole);
+    } else {
+      get(value.first);
+      get(value.second);
+    }
+  }
+
+  std::uint32_t count(std::size_t min_size) {
+    const std::uint32_t n = u32();
+    // n * min_size cannot overflow: n < 2^32 and min_size is a few bytes.
+    if (ok_ && n * min_size > data_.size() - pos_) fail("count exceeds the bytes left");
+    return ok_ ? n : 0;
+  }
+
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  std::uint64_t u64() { return le(8); }
+
+  std::uint64_t le(std::size_t width) {
+    if (!take(width)) return 0;
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      value |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ - width + i]))
+               << (8 * i);
+    }
+    return value;
+  }
+
+  std::string_view bytes() {
+    const std::uint32_t len = u32();
+    if (!take(len)) return {};
+    return data_.substr(pos_ - len, len);
+  }
+
+  bool take(std::size_t n) {
+    if (!ok_ || data_.size() - pos_ < n) {
+      fail("truncated");
+      return false;
+    }
+    pos_ += n;
+    return true;
+  }
 
   std::string_view data_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+  std::string error_;
 };
+
+// magic + fields(value), through `schema(Writer&, T&)`.
+template <class T, class Schema>
+std::string encode(std::string_view magic, const T& value, Schema schema) {
+  std::string out(magic);
+  Writer writer(out);
+  schema(writer, const_cast<T&>(value));  // a Writer never modifies what it visits
+  return out;
+}
+
+// The strict inverse of encode(); errors name the document as `what`.
+template <class T, class Schema>
+Result<T> decode(std::string_view payload, std::string_view magic, std::string_view what,
+                 Schema schema) {
+  if (!has_magic(payload, magic)) return Error(std::string(what) + ": bad magic");
+  Reader reader(payload.substr(magic.size()));
+  T value{};
+  schema(reader, value);
+  if (reader.ok() && !reader.at_end()) reader.fail("trailing bytes");
+  if (!reader.ok()) return Error(std::string(what) + ": " + reader.error());
+  return value;
+}
 
 }  // namespace codec
 
-// Magic prefix of a binary profile document.
+// Magic prefix of a binary profile document; layout: fields(Ar&,
+// profile::ProfileReport&) in wire.cpp.
 inline constexpr std::string_view kBinaryMagic = "HFB1";
-// Magic prefix of a binary crash-dossier document.
+// Magic prefix of a binary crash-dossier document; layout: fields(Ar&,
+// incident::Dossier&) in wire.cpp.
 inline constexpr std::string_view kDossierMagic = "HDB1";
-// Magic prefix of a binary surface-profile document (docs/debloat.md):
-//
-//   "HSP1"                                magic, 4 bytes
-//   str host, str executable
-//   u64 exported, u64 reachable, u64 touched, u64 trapped
-//   u64 resident_pages, u64 total_pages
-//   u32 nreachable, per symbol: str
-//   u32 ntouched, per symbol: str
-//   u32 ntrapped, per symbol: str
+// Magic prefix of a binary surface-profile document (docs/debloat.md);
+// layout: fields(Ar&, debloat::SurfaceProfile&) in wire.cpp.
 inline constexpr std::string_view kSurfaceMagic = "HSP1";
-// Header of a framed document stream.
+// Header of a framed document stream: a count and u32-length-prefixed
+// payloads, each one XML or binary document; layout: fields(Ar&,
+// std::vector<std::string>&) in wire.cpp.
 inline constexpr std::string_view kStreamMagic = "HFDS1\n";
 
 // Report -> compact binary document.

@@ -6,157 +6,40 @@
 namespace healers::server {
 namespace {
 
-using fleet::codec::Cursor;
-using fleet::codec::put_str;
-using fleet::codec::put_u32;
-using fleet::codec::put_u64;
-
-// DerivedChecks <-> flag word (layout documented in codec.hpp).
-enum CheckBit : std::uint32_t {
-  kNonnull = 1U << 0,
-  kMapped = 1U << 1,
-  kWritable = 1U << 2,
-  kTerminated = 1U << 3,
-  kSizeCheck = 1U << 4,
-  kHeapPtr = 1U << 5,
-  kFile = 1U << 6,
-  kCallback = 1U << 7,
-  kHasRange = 1U << 8,
-};
-
-std::uint32_t pack_checks(const injector::DerivedChecks& checks) {
-  std::uint32_t bits = 0;
-  if (checks.require_nonnull) bits |= kNonnull;
-  if (checks.require_mapped) bits |= kMapped;
-  if (checks.require_writable) bits |= kWritable;
-  if (checks.require_terminated) bits |= kTerminated;
-  if (checks.require_size_check) bits |= kSizeCheck;
-  if (checks.require_heap_pointer) bits |= kHeapPtr;
-  if (checks.require_file) bits |= kFile;
-  if (checks.require_callback) bits |= kCallback;
-  if (checks.range.has_value()) bits |= kHasRange;
-  return bits;
+template <class Ar>
+void fields(Ar& ar, injector::CampaignResult& campaign) {
+  ar(campaign.library, campaign.seed);
+  ar.each(campaign.specs, [](auto& ar, auto& spec) {
+    ar(spec.function, spec.library, spec.declaration, spec.total_probes, spec.total_failures,
+       spec.crashes, spec.hangs, spec.aborts);
+    ar.flags(spec.skipped_noreturn);
+    ar.each(spec.args, [](auto& ar, auto& arg) {
+      ar(arg.index, arg.ctype);
+      ar.enumeration(arg.cls, parser::TypeClass::kPointer);
+      auto& checks = arg.checks;
+      ar.flags(checks.require_nonnull, checks.require_mapped, checks.require_writable,
+               checks.require_terminated, checks.require_size_check, checks.require_heap_pointer,
+               checks.require_file, checks.require_callback, checks.range);
+      ar.each(arg.verdicts, [](auto& ar, auto& verdict) {
+        ar.enumeration(verdict.id, lattice::TestTypeId::kFInf);
+        ar(verdict.probes, verdict.failures, verdict.crashes, verdict.hangs, verdict.aborts,
+           verdict.first_failure);
+      });
+    });
+  });
 }
 
-injector::DerivedChecks unpack_checks(std::uint32_t bits) {
-  injector::DerivedChecks checks;
-  checks.require_nonnull = (bits & kNonnull) != 0;
-  checks.require_mapped = (bits & kMapped) != 0;
-  checks.require_writable = (bits & kWritable) != 0;
-  checks.require_terminated = (bits & kTerminated) != 0;
-  checks.require_size_check = (bits & kSizeCheck) != 0;
-  checks.require_heap_pointer = (bits & kHeapPtr) != 0;
-  checks.require_file = (bits & kFile) != 0;
-  checks.require_callback = (bits & kCallback) != 0;
-  return checks;
-}
+constexpr auto kSchema = [](auto& ar, auto& doc) { fields(ar, doc); };
 
 }  // namespace
 
 std::string encode_campaign_binary(const injector::CampaignResult& campaign) {
-  std::string out;
-  out.append(kCampaignMagic);
-  put_str(out, campaign.library);
-  put_u64(out, campaign.seed);
-  put_u32(out, static_cast<std::uint32_t>(campaign.specs.size()));
-  for (const injector::RobustSpec& spec : campaign.specs) {
-    put_str(out, spec.function);
-    put_str(out, spec.library);
-    put_str(out, spec.declaration);
-    put_u64(out, spec.total_probes);
-    put_u64(out, spec.total_failures);
-    put_u64(out, spec.crashes);
-    put_u64(out, spec.hangs);
-    put_u64(out, spec.aborts);
-    put_u32(out, spec.skipped_noreturn ? 1U : 0U);
-    put_u32(out, static_cast<std::uint32_t>(spec.args.size()));
-    for (const injector::ArgSpec& arg : spec.args) {
-      put_u32(out, static_cast<std::uint32_t>(arg.index));
-      put_str(out, arg.ctype);
-      put_u32(out, static_cast<std::uint32_t>(arg.cls));
-      put_u32(out, pack_checks(arg.checks));
-      if (arg.checks.range.has_value()) {
-        put_u64(out, static_cast<std::uint64_t>(arg.checks.range->first));
-        put_u64(out, static_cast<std::uint64_t>(arg.checks.range->second));
-      }
-      put_u32(out, static_cast<std::uint32_t>(arg.verdicts.size()));
-      for (const injector::TypeVerdict& v : arg.verdicts) {
-        put_u32(out, static_cast<std::uint32_t>(v.id));
-        put_u32(out, static_cast<std::uint32_t>(v.probes));
-        put_u32(out, static_cast<std::uint32_t>(v.failures));
-        put_u32(out, static_cast<std::uint32_t>(v.crashes));
-        put_u32(out, static_cast<std::uint32_t>(v.hangs));
-        put_u32(out, static_cast<std::uint32_t>(v.aborts));
-        put_str(out, v.first_failure);
-      }
-    }
-  }
-  return out;
+  return fleet::codec::encode(kCampaignMagic, campaign, kSchema);
 }
 
 Result<injector::CampaignResult> decode_campaign_binary(std::string_view payload) {
-  if (!is_campaign_binary(payload)) return Error("binary campaign: bad magic");
-  Cursor cur(payload.substr(kCampaignMagic.size()));
-  injector::CampaignResult campaign;
-  campaign.library = cur.str();
-  campaign.seed = cur.u64();
-  const std::uint32_t nspecs = cur.u32();
-  // Cheap sanity bound before reserving: every spec costs >= 56 bytes.
-  if (!cur.ok() || nspecs > payload.size()) return Error("binary campaign: truncated header");
-  campaign.specs.reserve(nspecs);
-  for (std::uint32_t s = 0; s < nspecs && cur.ok(); ++s) {
-    injector::RobustSpec spec;
-    spec.function = cur.str();
-    spec.library = cur.str();
-    spec.declaration = cur.str();
-    spec.total_probes = cur.u64();
-    spec.total_failures = cur.u64();
-    spec.crashes = cur.u64();
-    spec.hangs = cur.u64();
-    spec.aborts = cur.u64();
-    spec.skipped_noreturn = (cur.u32() & 1U) != 0;
-    const std::uint32_t nargs = cur.u32();
-    if (!cur.ok() || nargs > payload.size()) return Error("binary campaign: truncated spec");
-    for (std::uint32_t a = 0; a < nargs && cur.ok(); ++a) {
-      injector::ArgSpec arg;
-      arg.index = static_cast<int>(cur.u32());
-      arg.ctype = cur.str();
-      const std::uint32_t cls = cur.u32();
-      if (!cur.ok() || cls > static_cast<std::uint32_t>(parser::TypeClass::kPointer)) {
-        return Error("binary campaign: bad type class");
-      }
-      arg.cls = static_cast<parser::TypeClass>(cls);
-      const std::uint32_t check_bits = cur.u32();
-      arg.checks = unpack_checks(check_bits);
-      if ((check_bits & 0x100U) != 0) {
-        const auto lo = static_cast<std::int64_t>(cur.u64());
-        const auto hi = static_cast<std::int64_t>(cur.u64());
-        arg.checks.range = {lo, hi};
-      }
-      const std::uint32_t nverdicts = cur.u32();
-      if (!cur.ok() || nverdicts > payload.size()) return Error("binary campaign: truncated arg");
-      for (std::uint32_t v = 0; v < nverdicts && cur.ok(); ++v) {
-        injector::TypeVerdict verdict;
-        const std::uint32_t id = cur.u32();
-        if (!cur.ok() || id > static_cast<std::uint32_t>(lattice::TestTypeId::kFInf)) {
-          return Error("binary campaign: bad test type");
-        }
-        verdict.id = static_cast<lattice::TestTypeId>(id);
-        verdict.probes = static_cast<int>(cur.u32());
-        verdict.failures = static_cast<int>(cur.u32());
-        verdict.crashes = static_cast<int>(cur.u32());
-        verdict.hangs = static_cast<int>(cur.u32());
-        verdict.aborts = static_cast<int>(cur.u32());
-        verdict.first_failure = cur.str();
-        arg.verdicts.push_back(std::move(verdict));
-      }
-      spec.args.push_back(std::move(arg));
-    }
-    campaign.specs.push_back(std::move(spec));
-  }
-  if (!cur.ok()) return Error("binary campaign: truncated");
-  if (!cur.at_end()) return Error("binary campaign: trailing bytes");
-  return campaign;
+  return fleet::codec::decode<injector::CampaignResult>(payload, kCampaignMagic, "binary campaign",
+                                                        kSchema);
 }
 
 Result<injector::CampaignResult> decode_campaign(std::string_view payload) {
@@ -167,7 +50,7 @@ Result<injector::CampaignResult> decode_campaign(std::string_view payload) {
 }
 
 bool is_campaign_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kCampaignMagic.size()) == kCampaignMagic;
+  return fleet::codec::has_magic(payload, kCampaignMagic);
 }
 
 }  // namespace healers::server

@@ -1,31 +1,15 @@
 // Binary codec for campaign results (the derivation server's payload
-// format, ISSUE 5).
+// format).
 //
 // Robust-API specs already serialize as self-describing XML (§3.1
 // declaration files); at service scale the XML round-trip dominates a warm
 // response, so the server can ship the SAME injector::CampaignResult as a
-// compact length-prefixed binary document built on fleet/wire's codec
-// primitives (HDB-style, like the dossier format):
-//
-//   "HCB1"                                 magic, 4 bytes
-//   str library, u64 seed, u32 nspecs, per spec:
-//     str function, str library, str declaration
-//     u64 probes, u64 failures, u64 crashes, u64 hangs, u64 aborts
-//     u32 flags (bit0 skipped_noreturn)
-//     u32 nargs, per arg:
-//       u32 index, str ctype, u32 class
-//       u32 check bits (bit0 nonnull, bit1 mapped, bit2 writable,
-//           bit3 terminated, bit4 size, bit5 heapptr, bit6 file,
-//           bit7 callback, bit8 has-range), if has-range: i64 lo, i64 hi
-//       u32 nverdicts, per verdict:
-//         u32 type id, u32 probes, u32 failures, u32 crashes, u32 hangs,
-//         u32 aborts, str first_failure
-//
-// str = u32 length + bytes; all integers little-endian fixed-width; i64 is
-// the two's-complement image in a u64. The decoder is strict: truncated or
-// malformed payloads produce an error Result, never a partial campaign.
-// Encoding is deterministic — identical campaigns encode byte-identically —
-// so served responses can be byte-compared across worker counts.
+// compact binary document ("HCB1"), described by fields(Ar&,
+// injector::CampaignResult&) in codec.cpp and framed with fleet/wire's
+// archives. The decoder is strict: truncated or malformed payloads produce
+// an error Result, never a partial campaign. Encoding is deterministic —
+// identical campaigns encode byte-identically — so served responses can be
+// byte-compared across worker counts.
 #pragma once
 
 #include <string>

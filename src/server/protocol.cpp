@@ -5,18 +5,29 @@
 namespace healers::server {
 namespace {
 
-using fleet::codec::Cursor;
-using fleet::codec::put_str;
-using fleet::codec::put_u32;
-using fleet::codec::put_u64;
-
-bool is_request_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kRequestMagic.size()) == kRequestMagic;
+template <class Ar>
+void fields(Ar& ar, DeriveRequest& request) {
+  ar.enumeration(request.endpoint, Endpoint::kBundle);
+  ar(request.soname, request.seed, request.variants, request.probe_step_budget,
+     request.testbed_heap, request.testbed_stack);
+  ar.enumeration(request.bundle, BundleKind::kRepair);
+  ar.enumeration(request.format, WireFormat::kBinary);
 }
 
-bool is_response_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kResponseMagic.size()) == kResponseMagic;
+// The status leads the response so it can be read without the rest
+// (binary_response_status).
+template <class Ar>
+void status_field(Ar& ar, ResponseStatus& status) {
+  ar.enumeration(status, ResponseStatus::kShed);
 }
+
+template <class Ar>
+void fields(Ar& ar, DeriveResponse& response) {
+  status_field(ar, response.status);
+  ar(response.probes, response.error, response.payload);
+}
+
+constexpr auto kSchema = [](auto& ar, auto& doc) { fields(ar, doc); };
 
 }  // namespace
 
@@ -55,18 +66,15 @@ injector::InjectorConfig DeriveRequest::injector_config() const {
 
 std::string DeriveRequest::canonical_key() const {
   // The binary encoding already is a canonical, unambiguous image of every
-  // result-affecting field, so it doubles as the single-flight key.
-  std::string key;
-  put_u32(key, static_cast<std::uint32_t>(endpoint));
-  put_str(key, soname);
-  put_u64(key, seed);
-  put_u32(key, static_cast<std::uint32_t>(variants));
-  put_u64(key, probe_step_budget);
-  put_u64(key, testbed_heap);
-  put_u64(key, testbed_stack);
-  put_u32(key, endpoint == Endpoint::kBundle ? static_cast<std::uint32_t>(bundle) : 0U);
-  put_u32(key, static_cast<std::uint32_t>(format));
-  return key;
+  // result-affecting field, so it doubles as the single-flight key. Only
+  // bundle requests have a bundle kind: a derive request keys as kRobustness
+  // whatever the field holds.
+  if (endpoint != Endpoint::kBundle && bundle != BundleKind::kRobustness) {
+    DeriveRequest canonical = *this;
+    canonical.bundle = BundleKind::kRobustness;
+    return canonical.canonical_key();
+  }
+  return fleet::codec::encode("", *this, kSchema);
 }
 
 xml::Node DeriveRequest::to_xml() const {
@@ -129,43 +137,20 @@ Result<DeriveRequest> DeriveRequest::from_xml(const xml::Node& node) {
 
 std::string DeriveRequest::encode() const {
   if (format == WireFormat::kXml) return xml::serialize(to_xml());
-  std::string out;
-  out.append(kRequestMagic);
-  out.append(canonical_key());
-  return out;
+  return std::string(kRequestMagic) + canonical_key();
 }
 
 Result<DeriveRequest> DeriveRequest::decode(std::string_view payload) {
-  if (!is_request_binary(payload)) {
+  if (!fleet::codec::has_magic(payload, kRequestMagic)) {
     auto parsed = xml::parse(payload);
     if (!parsed.ok()) return Error("xml request: " + parsed.error().message);
     return from_xml(parsed.value());
   }
-  Cursor cur(payload.substr(kRequestMagic.size()));
-  DeriveRequest request;
-  const std::uint32_t endpoint = cur.u32();
-  if (!cur.ok() || endpoint > static_cast<std::uint32_t>(Endpoint::kBundle)) {
-    return Error("binary request: bad endpoint");
+  auto request = fleet::codec::decode<DeriveRequest>(payload, kRequestMagic, "binary request",
+                                                     kSchema);
+  if (request.ok() && request.value().soname.empty()) {
+    return Error("binary request: missing soname");
   }
-  request.endpoint = static_cast<Endpoint>(endpoint);
-  request.soname = cur.str();
-  request.seed = cur.u64();
-  request.variants = static_cast<int>(cur.u32());
-  request.probe_step_budget = cur.u64();
-  request.testbed_heap = cur.u64();
-  request.testbed_stack = cur.u64();
-  const std::uint32_t bundle = cur.u32();
-  if (!cur.ok() || bundle > static_cast<std::uint32_t>(BundleKind::kRepair)) {
-    return Error("binary request: bad bundle kind");
-  }
-  request.bundle = static_cast<BundleKind>(bundle);
-  const std::uint32_t format = cur.u32();
-  if (!cur.ok() || format > static_cast<std::uint32_t>(WireFormat::kBinary)) {
-    return Error("binary request: bad format");
-  }
-  request.format = static_cast<WireFormat>(format);
-  if (!cur.at_end()) return Error("binary request: trailing bytes");
-  if (request.soname.empty()) return Error("binary request: missing soname");
   return request;
 }
 
@@ -202,34 +187,26 @@ Result<DeriveResponse> DeriveResponse::from_xml(const xml::Node& node) {
 
 std::string DeriveResponse::encode(WireFormat format) const {
   if (format == WireFormat::kXml) return xml::serialize(to_xml());
-  std::string out;
-  out.append(kResponseMagic);
-  put_u32(out, static_cast<std::uint32_t>(status));
-  put_u64(out, probes);
-  put_str(out, error);
-  put_str(out, payload);
-  return out;
+  return fleet::codec::encode(kResponseMagic, *this, kSchema);
 }
 
 Result<DeriveResponse> DeriveResponse::decode(std::string_view payload) {
-  if (!is_response_binary(payload)) {
+  if (!fleet::codec::has_magic(payload, kResponseMagic)) {
     auto parsed = xml::parse(payload);
     if (!parsed.ok()) return Error("xml response: " + parsed.error().message);
     return from_xml(parsed.value());
   }
-  Cursor cur(payload.substr(kResponseMagic.size()));
-  DeriveResponse response;
-  const std::uint32_t status = cur.u32();
-  if (!cur.ok() || status > static_cast<std::uint32_t>(ResponseStatus::kShed)) {
-    return Error("binary response: bad status");
-  }
-  response.status = static_cast<ResponseStatus>(status);
-  response.probes = cur.u64();
-  response.error = cur.str();
-  response.payload = cur.str();
-  if (!cur.ok()) return Error("binary response: truncated");
-  if (!cur.at_end()) return Error("binary response: trailing bytes");
-  return response;
+  return fleet::codec::decode<DeriveResponse>(payload, kResponseMagic, "binary response",
+                                              kSchema);
+}
+
+std::optional<ResponseStatus> binary_response_status(std::string_view payload) {
+  if (!fleet::codec::has_magic(payload, kResponseMagic)) return std::nullopt;
+  fleet::codec::Reader reader(payload.substr(kResponseMagic.size()));
+  ResponseStatus status = ResponseStatus::kOk;
+  status_field(reader, status);
+  if (!reader.ok()) return std::nullopt;
+  return status;
 }
 
 }  // namespace healers::server

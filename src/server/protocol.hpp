@@ -1,4 +1,4 @@
-// The derivation service's request/response protocol (ISSUE 5).
+// The derivation service's request/response protocol.
 //
 // Clients ask the service for the two artifacts HEALERS derives per library:
 //
@@ -15,10 +15,8 @@
 // controls BOTH the envelope and the campaign payload encoding — binary
 // payloads never ride inside XML character data.
 //
-// Binary request ("HRQ1"):  u32 endpoint, str soname, u64 seed,
-//   u32 variants, u64 probe_step_budget, u64 testbed_heap,
-//   u64 testbed_stack, u32 bundle kind, u32 format
-// Binary response ("HRS1"): u32 status, u64 probes, str error, str payload
+// The binary request ("HRQ1") and response ("HRS1") layouts are fields(Ar&,
+// DeriveRequest&) and fields(Ar&, DeriveResponse&) in protocol.cpp.
 //
 // Everything in a response is a pure function of the request and the
 // library content: byte-identical across worker counts, queue shapes, and
@@ -26,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -107,5 +106,9 @@ struct DeriveResponse {
   [[nodiscard]] std::string encode(WireFormat format) const;
   [[nodiscard]] static Result<DeriveResponse> decode(std::string_view payload);
 };
+
+// The status of a binary response, read without decoding the rest of it;
+// nullopt for an XML envelope or a malformed status word.
+[[nodiscard]] std::optional<ResponseStatus> binary_response_status(std::string_view payload);
 
 }  // namespace healers::server

@@ -5,152 +5,89 @@
 
 #include "fleet/wire.hpp"
 #include "server/codec.hpp"
+#include "xml/xml.hpp"
 
 namespace healers::server {
+namespace {
+
+// The cache key every campaign-derived entry carries.
+template <class Ar, class Entry>
+void key_fields(Ar& ar, Entry& entry) {
+  ar(entry.soname, entry.fingerprint, entry.seed, entry.variants, entry.probe_step_budget,
+     entry.testbed_heap, entry.testbed_stack);
+}
+
+template <class Ar>
+void fields(Ar& ar, core::CachedCampaign& entry) {
+  key_fields(ar, entry);
+  ar.document(entry.result, encode_campaign_binary, decode_campaign_binary);
+}
+
+template <class Ar>
+void fields(Ar& ar, lattice::SignatureProfile& profile) {
+  ar(profile.signature);
+  // A different lattice shape cannot be merged tally-for-tally.
+  ar.expect(static_cast<std::uint32_t>(lattice::kTestTypeCount));
+  for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) ar(profile.passes[i], profile.fails[i]);
+}
+
+std::string policy_xml(const gen::RepairPolicy& policy) { return xml::serialize(policy.to_xml()); }
+
+Result<gen::RepairPolicy> parse_policy(std::string_view text) {
+  auto doc = xml::parse(text);
+  if (!doc.ok()) return doc.error();
+  return gen::RepairPolicy::from_xml(doc.value());
+}
+
+template <class Ar>
+void fields(Ar& ar, core::CachedRepairPolicy& entry) {
+  key_fields(ar, entry);
+  ar.document(entry.policy, policy_xml, parse_policy);
+}
+
+template <class Ar>
+void fields(Ar& ar, core::SurfaceScope& entry) {
+  ar(entry.executable, entry.soname, entry.fingerprint, entry.symbols);
+}
+
+constexpr auto kSchema = [](auto& ar, auto& doc) { fields(ar, doc); };
+
+}  // namespace
 
 std::string encode_cache_entry(const core::CachedCampaign& entry) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  using fleet::codec::put_u64;
-  std::string out;
-  out.append(kCacheEntryMagic);
-  put_str(out, entry.soname);
-  put_u64(out, entry.fingerprint);
-  put_u64(out, entry.seed);
-  put_u32(out, static_cast<std::uint32_t>(entry.variants));
-  put_u64(out, entry.probe_step_budget);
-  put_u64(out, entry.testbed_heap);
-  put_u64(out, entry.testbed_stack);
-  put_str(out, encode_campaign_binary(entry.result));
-  return out;
+  return fleet::codec::encode(kCacheEntryMagic, entry, kSchema);
 }
 
 Result<core::CachedCampaign> decode_cache_entry(std::string_view payload) {
-  if (payload.substr(0, kCacheEntryMagic.size()) != kCacheEntryMagic) {
-    return Error("cache entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kCacheEntryMagic.size()));
-  core::CachedCampaign entry;
-  entry.soname = cur.str();
-  entry.fingerprint = cur.u64();
-  entry.seed = cur.u64();
-  entry.variants = static_cast<int>(cur.u32());
-  entry.probe_step_budget = cur.u64();
-  entry.testbed_heap = cur.u64();
-  entry.testbed_stack = cur.u64();
-  const std::string campaign_bytes = cur.str();
-  if (!cur.ok()) return Error("cache entry: truncated");
-  if (!cur.at_end()) return Error("cache entry: trailing bytes");
-  auto campaign = decode_campaign_binary(campaign_bytes);
-  if (!campaign.ok()) return Error("cache entry: " + campaign.error().message);
-  entry.result = std::move(campaign).take();
-  return entry;
+  return fleet::codec::decode<core::CachedCampaign>(payload, kCacheEntryMagic, "cache entry",
+                                                    kSchema);
 }
 
 std::string encode_profile_entry(const lattice::SignatureProfile& profile) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  std::string out;
-  out.append(kProfileEntryMagic);
-  put_str(out, profile.signature);
-  put_u32(out, static_cast<std::uint32_t>(lattice::kTestTypeCount));
-  for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) {
-    put_u32(out, profile.passes[i]);
-    put_u32(out, profile.fails[i]);
-  }
-  return out;
+  return fleet::codec::encode(kProfileEntryMagic, profile, kSchema);
 }
 
 Result<lattice::SignatureProfile> decode_profile_entry(std::string_view payload) {
-  if (payload.substr(0, kProfileEntryMagic.size()) != kProfileEntryMagic) {
-    return Error("profile entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kProfileEntryMagic.size()));
-  lattice::SignatureProfile profile;
-  profile.signature = cur.str();
-  const std::uint32_t count = cur.u32();
-  if (cur.ok() && count != lattice::kTestTypeCount) {
-    // A different lattice shape cannot be merged tally-for-tally.
-    return Error("profile entry: test-type count mismatch");
-  }
-  for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) {
-    profile.passes[i] = cur.u32();
-    profile.fails[i] = cur.u32();
-  }
-  if (!cur.ok()) return Error("profile entry: truncated");
-  if (!cur.at_end()) return Error("profile entry: trailing bytes");
-  return profile;
+  return fleet::codec::decode<lattice::SignatureProfile>(payload, kProfileEntryMagic,
+                                                         "profile entry", kSchema);
 }
 
 std::string encode_repair_entry(const core::CachedRepairPolicy& entry) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  using fleet::codec::put_u64;
-  std::string out;
-  out.append(kRepairEntryMagic);
-  put_str(out, entry.soname);
-  put_u64(out, entry.fingerprint);
-  put_u64(out, entry.seed);
-  put_u32(out, static_cast<std::uint32_t>(entry.variants));
-  put_u64(out, entry.probe_step_budget);
-  put_u64(out, entry.testbed_heap);
-  put_u64(out, entry.testbed_stack);
-  put_str(out, xml::serialize(entry.policy.to_xml()));
-  return out;
+  return fleet::codec::encode(kRepairEntryMagic, entry, kSchema);
 }
 
 Result<core::CachedRepairPolicy> decode_repair_entry(std::string_view payload) {
-  if (payload.substr(0, kRepairEntryMagic.size()) != kRepairEntryMagic) {
-    return Error("repair entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kRepairEntryMagic.size()));
-  core::CachedRepairPolicy entry;
-  entry.soname = cur.str();
-  entry.fingerprint = cur.u64();
-  entry.seed = cur.u64();
-  entry.variants = static_cast<int>(cur.u32());
-  entry.probe_step_budget = cur.u64();
-  entry.testbed_heap = cur.u64();
-  entry.testbed_stack = cur.u64();
-  const std::string policy_text = cur.str();
-  if (!cur.ok()) return Error("repair entry: truncated");
-  if (!cur.at_end()) return Error("repair entry: trailing bytes");
-  auto doc = xml::parse(policy_text);
-  if (!doc.ok()) return Error("repair entry: " + doc.error().message);
-  auto policy = gen::RepairPolicy::from_xml(doc.value());
-  if (!policy.ok()) return Error("repair entry: " + policy.error().message);
-  entry.policy = std::move(policy).take();
-  return entry;
+  return fleet::codec::decode<core::CachedRepairPolicy>(payload, kRepairEntryMagic,
+                                                        "repair entry", kSchema);
 }
 
 std::string encode_surface_entry(const core::SurfaceScope& entry) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  using fleet::codec::put_u64;
-  std::string out;
-  out.append(kSurfaceEntryMagic);
-  put_str(out, entry.executable);
-  put_str(out, entry.soname);
-  put_u64(out, entry.fingerprint);
-  put_u32(out, static_cast<std::uint32_t>(entry.symbols.size()));
-  for (const std::string& symbol : entry.symbols) put_str(out, symbol);
-  return out;
+  return fleet::codec::encode(kSurfaceEntryMagic, entry, kSchema);
 }
 
 Result<core::SurfaceScope> decode_surface_entry(std::string_view payload) {
-  if (payload.substr(0, kSurfaceEntryMagic.size()) != kSurfaceEntryMagic) {
-    return Error("surface entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kSurfaceEntryMagic.size()));
-  core::SurfaceScope entry;
-  entry.executable = cur.str();
-  entry.soname = cur.str();
-  entry.fingerprint = cur.u64();
-  const std::uint32_t count = cur.u32();
-  for (std::uint32_t i = 0; cur.ok() && i < count; ++i) entry.symbols.push_back(cur.str());
-  if (!cur.ok()) return Error("surface entry: truncated");
-  if (!cur.at_end()) return Error("surface entry: trailing bytes");
-  return entry;
+  return fleet::codec::decode<core::SurfaceScope>(payload, kSurfaceEntryMagic, "surface entry",
+                                                  kSchema);
 }
 
 std::string encode_cache_file(const std::vector<core::CachedCampaign>& entries) {
@@ -211,34 +148,28 @@ Result<std::size_t> load_cache_file(const core::Toolkit& toolkit, const std::str
   std::vector<core::CachedRepairPolicy> repairs;
   std::vector<core::SurfaceScope> scopes;
   std::size_t unknown = 0;
+  const auto keep = [&path](auto decoded, auto& into) -> Status {
+    if (!decoded.ok()) return Error(path + ": " + decoded.error().message);
+    into.push_back(std::move(decoded).take());
+    return Status::success();
+  };
   for (const std::string& doc : documents.value()) {
-    if (doc.substr(0, kProfileEntryMagic.size()) == kProfileEntryMagic) {
-      auto profile = decode_profile_entry(doc);
-      if (!profile.ok()) return Error(path + ": " + profile.error().message);
-      profiles.push_back(std::move(profile).take());
-      continue;
-    }
-    if (doc.substr(0, kRepairEntryMagic.size()) == kRepairEntryMagic) {
-      auto repair = decode_repair_entry(doc);
-      if (!repair.ok()) return Error(path + ": " + repair.error().message);
-      repairs.push_back(std::move(repair).take());
-      continue;
-    }
-    if (doc.substr(0, kSurfaceEntryMagic.size()) == kSurfaceEntryMagic) {
-      auto scope = decode_surface_entry(doc);
-      if (!scope.ok()) return Error(path + ": " + scope.error().message);
-      scopes.push_back(std::move(scope).take());
-      continue;
-    }
-    if (doc.substr(0, kCacheEntryMagic.size()) != kCacheEntryMagic) {
+    using fleet::codec::has_magic;
+    Status status;
+    if (has_magic(doc, kCacheEntryMagic)) {
+      status = keep(decode_cache_entry(doc), campaigns);
+    } else if (has_magic(doc, kProfileEntryMagic)) {
+      status = keep(decode_profile_entry(doc), profiles);
+    } else if (has_magic(doc, kRepairEntryMagic)) {
+      status = keep(decode_repair_entry(doc), repairs);
+    } else if (has_magic(doc, kSurfaceEntryMagic)) {
+      status = keep(decode_surface_entry(doc), scopes);
+    } else {
       // An entry kind this build does not know — written by a newer toolkit.
       // Skipping it keeps old readers serving everything they DO understand.
       ++unknown;
-      continue;
     }
-    auto entry = decode_cache_entry(doc);
-    if (!entry.ok()) return Error(path + ": " + entry.error().message);
-    campaigns.push_back(std::move(entry).take());
+    if (!status.ok()) return status.error();
   }
   if (skipped_unknown != nullptr) *skipped_unknown = unknown;
   toolkit.implication_profiles()->import_profiles(profiles);

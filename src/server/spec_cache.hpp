@@ -1,4 +1,4 @@
-// Persistent spec cache for the derivation service (ISSUE 5).
+// Persistent spec cache for the derivation service.
 //
 // HEALERS' premise is that robust APIs are derived ONCE per library and then
 // reused to harden any application on the host (paper §2.2); this file makes
@@ -9,31 +9,17 @@
 //
 // On-disk format: the fleet document-stream framing ("HFDS1\n" +
 // u32-length-prefixed payloads, fleet::frame_stream) where each payload is
-// one cache entry, dispatched on a per-payload magic:
+// one cache entry, dispatched on a per-payload magic. Each entry kind's
+// layout is its fields() in spec_cache.cpp:
 //
-//   "HSCE1"                                campaign entry, magic 5 bytes
-//   str soname, u64 fingerprint
-//   u64 seed, u32 variants, u64 probe_step_budget,
-//   u64 testbed_heap, u64 testbed_stack
-//   str campaign                           an "HCB1" binary campaign document
+//   "HSCE1"  campaign entry: the cache key + an "HCB1" campaign document
+//   "HSIP1"  implication-profile entry: signature + per-test-type tallies
+//   "HSRP1"  repair-policy entry: the cache key + a <repair-policy> document
+//   "HSSP1"  surface-scope entry: executable, soname, fingerprint, symbols
 //
-//   "HSIP1"                                implication-profile entry
-//   str signature                          argument signature (class + notes)
-//   u32 n, n × (u32 passes, u32 fails)     per-test-type tallies
-//
-//   "HSRP1"                                repair-policy entry
-//   str soname, u64 fingerprint
-//   u64 seed, u32 variants, u64 probe_step_budget,
-//   u64 testbed_heap, u64 testbed_stack
-//   str policy                             a <repair-policy> XML document
-//
-//   "HSSP1"                                surface-scope entry
-//   str executable, str soname, u64 fingerprint
-//   u32 n, n × str                         reachable symbols, sorted
-//
-// Repair-policy entries (ISSUE 9) carry campaign-derived RepairPolicy
-// documents under the same key and fingerprint discipline as campaigns, so
-// a warm fleet ships repaired wrappers without re-deriving (docs/repair.md).
+// Repair-policy entries carry campaign-derived RepairPolicy documents under
+// the same key and fingerprint discipline as campaigns, so a warm fleet
+// ships repaired wrappers without re-deriving (docs/repair.md).
 //
 // Surface-scope entries (docs/debloat.md) record which symbols of a library
 // one executable's static closure can reach; a loaded toolkit scopes

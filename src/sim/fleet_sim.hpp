@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/toolkit.hpp"
 #include "fleet/collector.hpp"
@@ -54,6 +55,25 @@ struct SimConfig {
 
 // Global counters of one run. Every field is trace-determined: fixed
 // (seed, hosts, virtual_seconds, traffic, window) => identical stats.
+enum class EmissionKind : std::uint8_t { kProfile, kDossier, kSurface, kDerive };
+
+// One encoded payload waiting for the serial delivery phase. `seq` is the
+// host's emission counter at emission time, the tie-break that makes the
+// merged delivery order a total order.
+struct Emission {
+  VirtualTime at = 0;
+  std::uint32_t host = 0;
+  std::uint32_t seq = 0;
+  EmissionKind kind = EmissionKind::kProfile;
+  std::string payload;
+};
+
+// Encodes what one wake-up's plan asks the host to emit, in emission order,
+// and appends it to `out`. Every payload is a pure function of the host's
+// Rng, so replaying a host's wake-ups through emit() reproduces exactly what
+// FleetSim::run delivers for it.
+void emit(HostTask& host, const StepPlan& plan, VirtualTime at, std::vector<Emission>& out);
+
 struct SimStats {
   std::uint64_t hosts = 0;
   std::uint64_t virtual_seconds = 0;

@@ -261,6 +261,23 @@ TEST(ServerProtocol, ResponseRoundTripsAndDecoderIsStrict) {
   EXPECT_FALSE(DeriveResponse::decode(binary.substr(0, binary.size() - 2)).ok());
 }
 
+TEST(ServerProtocol, BinaryResponseStatusReadsOnlyTheStatus) {
+  for (const ResponseStatus status :
+       {ResponseStatus::kOk, ResponseStatus::kError, ResponseStatus::kShed}) {
+    DeriveResponse response;
+    response.status = status;
+    response.payload = "payload";
+    EXPECT_EQ(binary_response_status(response.encode(WireFormat::kBinary)), status);
+    // The status word alone suffices; XML envelopes are not peeked at.
+    EXPECT_EQ(binary_response_status(response.encode(WireFormat::kBinary).substr(0, 8)), status);
+    EXPECT_EQ(binary_response_status(response.encode(WireFormat::kXml)), std::nullopt);
+  }
+  // An out-of-range status word, and a truncated one.
+  EXPECT_EQ(binary_response_status(std::string(kResponseMagic) + std::string("\x07\0\0\0", 4)),
+            std::nullopt);
+  EXPECT_EQ(binary_response_status(std::string(kResponseMagic) + "\x01"), std::nullopt);
+}
+
 // --- the server --------------------------------------------------------------
 
 TEST_F(ServerFixture, ServesADeriveRequestEndToEnd) {

@@ -6,11 +6,13 @@
 // under bursts for both admission policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
 
 #include "core/toolkit.hpp"
+#include "fleet/wire.hpp"
 #include "server/derive_server.hpp"
 #include "server/protocol.hpp"
 #include "sim/engine.hpp"
@@ -250,6 +252,46 @@ TEST(FleetSimTest, BurstShedsAreCountedAndDelivered) {
     EXPECT_EQ(server_stats.pending, 0u) << what;
     EXPECT_EQ(stats.responses_error, 0u) << what;
   }
+}
+
+// --- emitted documents -----------------------------------------------------
+
+// make_profile_doc writes HFB1 bytes directly rather than through the
+// schema; every profile document a run emits must still decode, and
+// re-encode through the schema to the very same bytes.
+TEST(FleetSimTest, ProfileDocumentsMatchTheHfb1Schema) {
+  SimConfig config = small_config();
+  config.hosts = 200;
+  config.virtual_seconds = 20;
+  config.debloat = true;
+  FleetSim sim(shared_toolkit(), config);
+  const SimStats stats = sim.run();
+
+  // Replaying each host's wake-ups through emit() reproduces what the run
+  // delivered: every payload is a pure function of (seed, host).
+  const VirtualTime horizon = config.virtual_seconds * kMicrosPerVirtualSecond;
+  std::vector<Emission> emitted;
+  for (std::uint32_t host = 0; host < config.hosts; ++host) {
+    HostTask task(config.seed, host, config.traffic);
+    task.debloat = config.debloat;
+    for (VirtualTime at = initial_delay(task); at < horizon;) {
+      const StepPlan plan = step(task, at);
+      emit(task, plan, at, emitted);
+      at += std::max<VirtualTime>(plan.next_delay, 1);
+    }
+  }
+  ASSERT_EQ(emitted.size(), stats.emissions);
+
+  std::uint64_t profiles = 0;
+  for (const Emission& emission : emitted) {
+    if (emission.kind != EmissionKind::kProfile) continue;
+    ++profiles;
+    const auto report = fleet::decode_binary(emission.payload);
+    ASSERT_TRUE(report.ok()) << report.error().message;
+    ASSERT_EQ(fleet::encode_binary(report.value()), emission.payload);
+  }
+  EXPECT_EQ(profiles, stats.profile_docs);
+  EXPECT_GT(profiles, 0u);
 }
 
 // --- take_response ---------------------------------------------------------

@@ -28,6 +28,7 @@
 // robust APIs and wrapper bundles; single-flight dedup plus the persistent
 // spec cache (--cache-file, shared with derive) keep repeat answers at zero
 // probes.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -187,6 +188,19 @@ struct Options {
   bool debloat = false;
 };
 
+// Parses a flag's whole value as a number in T's range.
+template <class T>
+Status parse_number(const std::string& flag, const Result<std::string>& value, T& out) {
+  if (!value.ok()) return value.error();
+  const std::string& text = value.value();
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  if (error != std::errc() || stop != end) {
+    return Error(flag + " expects a number, got '" + text + "'");
+  }
+  return Status::success();
+}
+
 Result<Options> parse_options(int argc, char** argv) {
   Options options;
   for (int i = 2; i < argc; ++i) {
@@ -195,6 +209,7 @@ Result<Options> parse_options(int argc, char** argv) {
       if (i + 1 >= argc) return Error("missing value for " + arg);
       return std::string(argv[++i]);
     };
+    const auto number = [&arg, &next](auto& field) { return parse_number(arg, next(), field); };
     if (arg == "-o") {
       auto value = next();
       if (!value.ok()) return value.error();
@@ -208,50 +223,30 @@ Result<Options> parse_options(int argc, char** argv) {
       if (!value.ok()) return value.error();
       options.campaign_path = value.value();
     } else if (arg == "--seed") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.seed = std::stoull(value.value());
+      if (Status status = number(options.seed); !status.ok()) return status.error();
     } else if (arg == "--variants") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.variants = std::stoi(value.value());
+      if (Status status = number(options.variants); !status.ok()) return status.error();
     } else if (arg == "--jobs") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.jobs = std::stoi(value.value());
+      if (Status status = number(options.jobs); !status.ok()) return status.error();
     } else if (arg == "--hosts") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.hosts = std::stoi(value.value());
+      if (Status status = number(options.hosts); !status.ok()) return status.error();
     } else if (arg == "--docs") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.docs = std::stoi(value.value());
+      if (Status status = number(options.docs); !status.ok()) return status.error();
     } else if (arg == "--shards") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.shards = std::stoi(value.value());
+      if (Status status = number(options.shards); !status.ok()) return status.error();
     } else if (arg == "--capacity") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.capacity = std::stoi(value.value());
+      if (Status status = number(options.capacity); !status.ok()) return status.error();
       options.capacity_set = true;
     } else if (arg == "--virtual-seconds") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.virtual_seconds = std::stoull(value.value());
+      if (Status status = number(options.virtual_seconds); !status.ok()) return status.error();
     } else if (arg == "--traffic") {
       auto value = next();
       if (!value.ok()) return value.error();
       options.traffic = value.value();
     } else if (arg == "--clients") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.clients = std::stoi(value.value());
+      if (Status status = number(options.clients); !status.ok()) return status.error();
     } else if (arg == "--requests") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.requests = std::stoi(value.value());
+      if (Status status = number(options.requests); !status.ok()) return status.error();
     } else if (arg == "--cache-file") {
       auto value = next();
       if (!value.ok()) return value.error();
@@ -954,7 +949,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   auto options = parse_options(argc, argv);
-  if (!options.ok()) return fail(options.error().message);
+  if (!options.ok()) {
+    std::fprintf(stderr, "healers: %s\n", options.error().message.c_str());
+    return 2;
+  }
 
   core::Toolkit toolkit;
   if (command == "list-libs") return cmd_list_libs(toolkit);
