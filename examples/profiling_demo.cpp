@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/toolkit.hpp"
-#include "profile/collector.hpp"
+#include "fleet/collector.hpp"
 #include "profile/report.hpp"
 
 using namespace healers;
@@ -71,9 +71,10 @@ int main() {
   std::printf("XML document shipped to the collector (libsimio wrapper):\n%s\n", doc_io.c_str());
 
   // "... sent to a central server ... stored for later processing."
-  profile::CollectorServer server;
-  server.ingest(doc_c);
-  server.ingest(doc_io);
+  fleet::FleetCollector server;
+  server.submit(doc_c);
+  server.submit(doc_io);
+  server.flush();
   std::printf("%s\n", server.render_summary().c_str());
 
   // The Fig 5 view, table and chart ("automatically generate graphics").

@@ -24,6 +24,18 @@ std::uint64_t fnv1a(std::string_view text) noexcept {
   return hash;
 }
 
+SurfaceAgg& SurfaceAgg::operator+=(const SurfaceAgg& other) {
+  docs += other.docs;
+  exported += other.exported;
+  reachable += other.reachable;
+  touched += other.touched;
+  trapped += other.trapped;
+  resident_pages += other.resident_pages;
+  total_pages += other.total_pages;
+  for (const auto& [symbol, count] : other.trapped_symbols) trapped_symbols[symbol] += count;
+  return *this;
+}
+
 FleetCollector::FleetCollector(CollectorConfig config) : config_(config) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -60,12 +72,7 @@ void FleetCollector::fold(const profile::ProfileReport& report) {
   for (const profile::FunctionProfile& fn : report.functions) {
     AggShard& shard = *agg_[fnv1a(fn.symbol) % agg_.size()];
     std::lock_guard lock(shard.mutex);
-    profile::FunctionProfile& total = shard.functions[fn.symbol];
-    total.symbol = fn.symbol;
-    total.calls += fn.calls;
-    total.cycles += fn.cycles;
-    total.contained += fn.contained;
-    for (const auto& [err, count] : fn.errno_counts) total.errno_counts[err] += count;
+    shard.functions[fn.symbol] += fn;
   }
   for (const auto& [err, count] : report.global_errnos) {
     AggShard& shard = *agg_[static_cast<std::uint64_t>(err) % agg_.size()];
@@ -75,7 +82,7 @@ void FleetCollector::fold(const profile::ProfileReport& report) {
   aggregated_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FleetCollector::fold_dossier(const incident::Dossier& dossier) {
+void FleetCollector::fold(const incident::Dossier& dossier) {
   const std::string key = simlib::to_string(dossier.detector) + " " + dossier.symbol;
   {
     AggShard& shard = *agg_[fnv1a(key) % agg_.size()];
@@ -85,19 +92,20 @@ void FleetCollector::fold_dossier(const incident::Dossier& dossier) {
   aggregated_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FleetCollector::fold_surface(const debloat::SurfaceProfile& profile) {
-  AggShard& shard = *agg_[fnv1a(profile.executable) % agg_.size()];
+void FleetCollector::fold(const debloat::SurfaceProfile& profile) {
+  SurfaceAgg one{.docs = 1,
+                 .exported = profile.exported,
+                 .reachable = profile.reachable,
+                 .touched = profile.touched,
+                 .trapped = profile.trapped,
+                 .resident_pages = profile.resident_pages,
+                 .total_pages = profile.total_pages,
+                 .trapped_symbols = {}};
+  for (const std::string& symbol : profile.trapped_symbols) ++one.trapped_symbols[symbol];
   {
+    AggShard& shard = *agg_[fnv1a(profile.executable) % agg_.size()];
     std::lock_guard lock(shard.mutex);
-    SurfaceAgg& agg = shard.surfaces[profile.executable];
-    ++agg.docs;
-    agg.exported += profile.exported;
-    agg.reachable += profile.reachable;
-    agg.touched += profile.touched;
-    agg.trapped += profile.trapped;
-    agg.resident_pages += profile.resident_pages;
-    agg.total_pages += profile.total_pages;
-    for (const std::string& symbol : profile.trapped_symbols) ++agg.trapped_symbols[symbol];
+    shard.surfaces[profile.executable] += one;
   }
   aggregated_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -136,66 +144,34 @@ void FleetCollector::flush() {
         std::lock_guard lock(error_mutex_);
         if (first_error_.empty()) first_error_ = message;
       };
+      // Decode-or-reject, then fold: every document kind takes this one path.
+      const auto ingest = [this, &reject](const auto& decoded) {
+        if (decoded.ok()) {
+          fold(decoded.value());
+        } else {
+          reject(decoded.error().message);
+        }
+      };
       for (std::size_t i = begin; i < end; ++i) {
         const std::string& payload = claimed[i];
-        // Dossiers and profiles share the pipe; sniff binary documents by
-        // magic and XML documents by root element (parsed once).
+        // Dossiers, surface profiles and profiles share the pipe: the kind
+        // comes from the binary magic, or else from the XML root element
+        // (parsed once).
         if (is_dossier_binary(payload)) {
-          auto dossier = decode_dossier_binary(payload);
-          if (!dossier.ok()) {
-            reject(dossier.error().message);
-            continue;
-          }
-          fold_dossier(dossier.value());
-          continue;
-        }
-        if (is_surface_binary(payload)) {
-          auto surface = decode_surface_binary(payload);
-          if (!surface.ok()) {
-            reject(surface.error().message);
-            continue;
-          }
-          fold_surface(surface.value());
-          continue;
-        }
-        if (is_binary_document(payload)) {
-          auto report = decode_binary(payload);
-          if (!report.ok()) {
-            reject(report.error().message);
-            continue;
-          }
-          fold(report.value());
-          continue;
-        }
-        auto parsed = xml::parse(payload);
-        if (!parsed.ok()) {
+          ingest(decode_dossier_binary(payload));
+        } else if (is_surface_binary(payload)) {
+          ingest(decode_surface_binary(payload));
+        } else if (is_binary_document(payload)) {
+          ingest(decode_binary(payload));
+        } else if (auto parsed = xml::parse(payload); !parsed.ok()) {
           reject("xml document: " + parsed.error().message);
-          continue;
+        } else if (parsed.value().name() == "dossier") {
+          ingest(incident::from_xml(parsed.value()));
+        } else if (parsed.value().name() == "surface-profile") {
+          ingest(debloat::surface_from_xml(parsed.value()));
+        } else {
+          ingest(profile::from_xml(parsed.value()));
         }
-        if (parsed.value().name() == "dossier") {
-          auto dossier = incident::from_xml(parsed.value());
-          if (!dossier.ok()) {
-            reject(dossier.error().message);
-            continue;
-          }
-          fold_dossier(dossier.value());
-          continue;
-        }
-        if (parsed.value().name() == "surface-profile") {
-          auto surface = debloat::surface_from_xml(parsed.value());
-          if (!surface.ok()) {
-            reject(surface.error().message);
-            continue;
-          }
-          fold_surface(surface.value());
-          continue;
-        }
-        auto report = profile::from_xml(parsed.value());
-        if (!report.ok()) {
-          reject(report.error().message);
-          continue;
-        }
-        fold(report.value());
       }
     });
   }
@@ -230,28 +206,10 @@ FleetSnapshot FleetCollector::snapshot() const {
   for (const auto& shard : agg_) {
     std::lock_guard lock(shard->mutex);
     merged.merge(shard->sketch);
-    for (const auto& [symbol, fn] : shard->functions) {
-      profile::FunctionProfile& total = snap.functions[symbol];
-      total.symbol = symbol;
-      total.calls += fn.calls;
-      total.cycles += fn.cycles;
-      total.contained += fn.contained;
-      for (const auto& [err, count] : fn.errno_counts) total.errno_counts[err] += count;
-    }
+    for (const auto& [symbol, fn] : shard->functions) snap.functions[symbol] += fn;
     for (const auto& [err, count] : shard->global_errnos) snap.global_errnos[err] += count;
     for (const auto& [key, count] : shard->dossiers) snap.dossiers[key] += count;
-    for (const auto& [exe, agg] : shard->surfaces) {
-      SurfaceAgg& total = snap.surfaces[exe];
-      total.docs += agg.docs;
-      total.exported += agg.exported;
-      total.reachable += agg.reachable;
-      total.touched += agg.touched;
-      total.trapped += agg.trapped;
-      total.resident_pages += agg.resident_pages;
-      total.total_pages += agg.total_pages;
-      for (const auto& [symbol, count] : agg.trapped_symbols)
-        total.trapped_symbols[symbol] += count;
-    }
+    for (const auto& [exe, agg] : shard->surfaces) snap.surfaces[exe] += agg;
   }
   snap.cycles_p50 = merged.quantile(0.50);
   snap.cycles_p95 = merged.quantile(0.95);

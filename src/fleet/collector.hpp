@@ -1,7 +1,9 @@
 // Fleet-scale collection service (ROADMAP: sharding, batching, async).
 //
-// profile::CollectorServer is the paper's single-process server; this is the
-// service you would actually deploy in front of a fleet:
+// This is the paper's central server (§2.3): wrappers ship self-describing
+// profile documents, and the collector extracts and aggregates them. A
+// default-configured instance serves a single demo app; the same class
+// scales out in front of a fleet:
 //
 //   producers --submit()--> per-shard bounded MPSC queues   (backpressure)
 //                 flush():  batched decode on support::ThreadPool
@@ -69,6 +71,8 @@ struct SurfaceAgg {
   std::uint64_t resident_pages = 0;
   std::uint64_t total_pages = 0;
   std::map<std::string, std::uint64_t> trapped_symbols;  // symbol -> reports
+
+  SurfaceAgg& operator+=(const SurfaceAgg& other);
 };
 
 // A merged, immutable view of the collector at one instant.
@@ -135,9 +139,10 @@ class FleetCollector {
     CycleSketch sketch;  // one sample per document: its total exec cycles
   };
 
+  // One overload per document kind the pipe carries.
   void fold(const profile::ProfileReport& report);
-  void fold_dossier(const incident::Dossier& dossier);
-  void fold_surface(const debloat::SurfaceProfile& profile);
+  void fold(const incident::Dossier& dossier);
+  void fold(const debloat::SurfaceProfile& profile);
 
   CollectorConfig config_;
   std::vector<std::unique_ptr<IngestShard>> ingest_;

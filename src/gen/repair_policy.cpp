@@ -68,14 +68,6 @@ bool operator==(const RepairRule& a, const RepairRule& b) {
          size_text(a.write_size) == size_text(b.write_size) && a.provenance == b.provenance;
 }
 
-bool operator==(const FunctionRepairPolicy& a, const FunctionRepairPolicy& b) {
-  return a.function == b.function && a.rules == b.rules;
-}
-
-bool RepairPolicy::operator==(const RepairPolicy& other) const {
-  return library == other.library && seed == other.seed && functions == other.functions;
-}
-
 xml::Node RepairPolicy::to_xml() const {
   xml::Node root("repair-policy");
   root.set_attr("library", library);

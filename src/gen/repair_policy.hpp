@@ -57,11 +57,15 @@ struct RepairRule {
   std::string provenance;
 };
 
+// Compares write_size by its rendered text, which is what the XML carries.
+[[nodiscard]] bool operator==(const RepairRule& a, const RepairRule& b);
+
 struct FunctionRepairPolicy {
   std::string function;
   std::vector<RepairRule> rules;
 
   [[nodiscard]] const RepairRule* rule_for_arg(int index_1based) const noexcept;
+  [[nodiscard]] bool operator==(const FunctionRepairPolicy&) const = default;
 };
 
 // A whole library's repair plan — pure data, derived once per campaign and
@@ -73,15 +77,12 @@ struct RepairPolicy {
 
   [[nodiscard]] const FunctionRepairPolicy* policy(const std::string& function) const noexcept;
   [[nodiscard]] std::size_t rule_count() const noexcept;
-  [[nodiscard]] bool operator==(const RepairPolicy& other) const;
+  [[nodiscard]] bool operator==(const RepairPolicy&) const = default;
 
   // Deterministic <repair-policy> document; round-trips through from_xml.
   [[nodiscard]] xml::Node to_xml() const;
   [[nodiscard]] static Result<RepairPolicy> from_xml(const xml::Node& node);
 };
-
-[[nodiscard]] bool operator==(const RepairRule& a, const RepairRule& b);
-[[nodiscard]] bool operator==(const FunctionRepairPolicy& a, const FunctionRepairPolicy& b);
 
 // Derives the repair policy for `lib` from its campaign result. Pure: same
 // campaign document + same library => byte-identical policy XML. Functions

@@ -18,17 +18,16 @@ constexpr std::array<RepairAction, 4> kAllActions = {
     RepairAction::kTruncateWrite, RepairAction::kSubstituteBounded,
     RepairAction::kSynthesizeInput, RepairAction::kSafeReturn};
 
-Result<std::uint64_t> parse_u64(const xml::Node& node, std::string_view attr) {
-  const std::string* raw = node.attr(attr);
-  if (raw == nullptr) return Error("dossier: missing attribute " + std::string(attr));
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(*raw, &used, 0);  // accepts 0x... and decimal
-    if (used != raw->size()) return Error("dossier: malformed " + std::string(attr));
-    return value;
-  } catch (const std::exception&) {
-    return Error("dossier: malformed " + std::string(attr));
+// Reads each listed numeric attribute (decimal or 0x-hex) in order; the
+// first missing or malformed one is the error ("dossier: malformed seq").
+Status read_numbers(const xml::Node& node,
+                    std::initializer_list<std::pair<const char*, std::uint64_t*>> fields) {
+  for (const auto& [key, target] : fields) {
+    auto value = node.attr_uint(key, std::nullopt, /*hex=*/true);
+    if (!value.ok()) return Error("dossier: " + value.error().message);
+    *target = value.value();
   }
+  return Status::success();
 }
 
 std::string attr_or_empty(const xml::Node& node, std::string_view key) {
@@ -47,35 +46,6 @@ std::string hex_addr(std::uint64_t value) {
     value >>= 4;
   }
   return "0x" + out;
-}
-
-bool operator==(const TraceEntry& a, const TraceEntry& b) {
-  return a.seq == b.seq && a.tick == b.tick && a.cycles == b.cycles &&
-         a.arg_digest == b.arg_digest && a.argc == b.argc && a.symbol == b.symbol;
-}
-
-bool operator==(const ChunkState& a, const ChunkState& b) {
-  return a.header == b.header && a.user == b.user && a.size == b.size &&
-         a.in_use == b.in_use && a.suspect == b.suspect;
-}
-
-bool operator==(const RegionState& a, const RegionState& b) {
-  return a.base == b.base && a.size == b.size && a.perm == b.perm && a.kind == b.kind &&
-         a.label == b.label && a.suspect == b.suspect;
-}
-
-bool operator==(const RepairEvent& a, const RepairEvent& b) {
-  return a.seq == b.seq && a.tick == b.tick && a.action == b.action && a.symbol == b.symbol &&
-         a.detail == b.detail && a.fault_addr == b.fault_addr && a.requested == b.requested &&
-         a.granted == b.granted;
-}
-
-bool Dossier::operator==(const Dossier& other) const {
-  return process == other.process && detector == other.detector && symbol == other.symbol &&
-         detail == other.detail && seq == other.seq && tick == other.tick &&
-         cycles == other.cycles && fault_addr == other.fault_addr && args == other.args &&
-         trace == other.trace && heap == other.heap && heap_note == other.heap_note &&
-         regions == other.regions && repairs == other.repairs;
 }
 
 Result<DetectionKind> detection_kind_from_name(const std::string& name) {
@@ -168,13 +138,12 @@ Result<Dossier> from_xml(const xml::Node& node) {
   if (!kind.ok()) return kind.error();
   out.detector = kind.value();
   out.symbol = attr_or_empty(node, "symbol");
-  for (const auto& [field, target] :
-       std::initializer_list<std::pair<const char*, std::uint64_t*>>{
-           {"seq", &out.seq}, {"tick", &out.tick}, {"cycles", &out.cycles},
-           {"fault_addr", &out.fault_addr}}) {
-    auto value = parse_u64(node, field);
-    if (!value.ok()) return value.error();
-    *target = value.value();
+  if (Status read = read_numbers(node, {{"seq", &out.seq},
+                                        {"tick", &out.tick},
+                                        {"cycles", &out.cycles},
+                                        {"fault_addr", &out.fault_addr}});
+      !read.ok()) {
+    return read.error();
   }
   if (const xml::Node* detail = node.child("detail")) out.detail = detail->text();
 
@@ -188,19 +157,16 @@ Result<Dossier> from_xml(const xml::Node& node) {
     for (const xml::Node* row : trace_node->children_named("event")) {
       TraceEntry entry;
       entry.symbol = attr_or_empty(*row, "symbol");
-      auto seq = parse_u64(*row, "seq");
-      auto tick = parse_u64(*row, "tick");
-      auto cycles = parse_u64(*row, "cycles");
-      auto argc = parse_u64(*row, "argc");
-      auto digest = parse_u64(*row, "digest");
-      for (const auto* field : {&seq, &tick, &cycles, &argc, &digest}) {
-        if (!field->ok()) return field->error();
+      std::uint64_t argc = 0;
+      if (Status read = read_numbers(*row, {{"seq", &entry.seq},
+                                            {"tick", &entry.tick},
+                                            {"cycles", &entry.cycles},
+                                            {"argc", &argc},
+                                            {"digest", &entry.arg_digest}});
+          !read.ok()) {
+        return read.error();
       }
-      entry.seq = seq.value();
-      entry.tick = tick.value();
-      entry.cycles = cycles.value();
-      entry.argc = static_cast<std::uint32_t>(argc.value());
-      entry.arg_digest = digest.value();
+      entry.argc = static_cast<std::uint32_t>(argc);
       out.trace.push_back(std::move(entry));
     }
   }
@@ -209,15 +175,11 @@ Result<Dossier> from_xml(const xml::Node& node) {
     out.heap_note = attr_or_empty(*heap_node, "note");
     for (const xml::Node* row : heap_node->children_named("chunk")) {
       ChunkState chunk;
-      auto header = parse_u64(*row, "header");
-      auto user = parse_u64(*row, "user");
-      auto size = parse_u64(*row, "size");
-      for (const auto* field : {&header, &user, &size}) {
-        if (!field->ok()) return field->error();
+      if (Status read = read_numbers(
+              *row, {{"header", &chunk.header}, {"user", &chunk.user}, {"size", &chunk.size}});
+          !read.ok()) {
+        return read.error();
       }
-      chunk.header = header.value();
-      chunk.user = user.value();
-      chunk.size = size.value();
       chunk.in_use = row->attr_int("in_use", 0) != 0;
       chunk.suspect = row->attr_int("suspect", 0) != 0;
       out.heap.push_back(chunk);
@@ -227,15 +189,13 @@ Result<Dossier> from_xml(const xml::Node& node) {
   if (const xml::Node* regions_node = node.child("regions")) {
     for (const xml::Node* row : regions_node->children_named("region")) {
       RegionState region;
-      auto base = parse_u64(*row, "base");
-      auto size = parse_u64(*row, "size");
-      auto perm = parse_u64(*row, "perm");
-      for (const auto* field : {&base, &size, &perm}) {
-        if (!field->ok()) return field->error();
+      std::uint64_t perm = 0;
+      if (Status read = read_numbers(
+              *row, {{"base", &region.base}, {"size", &region.size}, {"perm", &perm}});
+          !read.ok()) {
+        return read.error();
       }
-      region.base = base.value();
-      region.size = size.value();
-      region.perm = static_cast<std::uint8_t>(perm.value());
+      region.perm = static_cast<std::uint8_t>(perm);
       region.kind = attr_or_empty(*row, "kind");
       region.label = attr_or_empty(*row, "label");
       region.suspect = row->attr_int("suspect", 0) != 0;
@@ -251,19 +211,14 @@ Result<Dossier> from_xml(const xml::Node& node) {
       repair.action = action.value();
       repair.symbol = attr_or_empty(*row, "symbol");
       repair.detail = attr_or_empty(*row, "detail");
-      auto seq = parse_u64(*row, "seq");
-      auto tick = parse_u64(*row, "tick");
-      auto addr = parse_u64(*row, "addr");
-      auto requested = parse_u64(*row, "requested");
-      auto granted = parse_u64(*row, "granted");
-      for (const auto* field : {&seq, &tick, &addr, &requested, &granted}) {
-        if (!field->ok()) return field->error();
+      if (Status read = read_numbers(*row, {{"seq", &repair.seq},
+                                            {"tick", &repair.tick},
+                                            {"addr", &repair.fault_addr},
+                                            {"requested", &repair.requested},
+                                            {"granted", &repair.granted}});
+          !read.ok()) {
+        return read.error();
       }
-      repair.seq = seq.value();
-      repair.tick = tick.value();
-      repair.fault_addr = addr.value();
-      repair.requested = requested.value();
-      repair.granted = granted.value();
       out.repairs.push_back(std::move(repair));
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "simlib/cerrno.hpp"
@@ -12,6 +13,15 @@ std::uint64_t FunctionProfile::errors() const noexcept {
   std::uint64_t n = 0;
   for (const auto& [_, count] : errno_counts) n += count;
   return n;
+}
+
+FunctionProfile& FunctionProfile::operator+=(const FunctionProfile& other) {
+  if (symbol.empty()) symbol = other.symbol;
+  calls += other.calls;
+  cycles += other.cycles;
+  contained += other.contained;
+  for (const auto& [err, count] : other.errno_counts) errno_counts[err] += count;
+  return *this;
 }
 
 std::uint64_t ProfileReport::total_calls() const noexcept {
@@ -93,6 +103,32 @@ xml::Node to_xml(const ProfileReport& report) {
   return node;
 }
 
+namespace {
+
+// A count or errno attribute: missing reads as 0, while a malformed or
+// negative value rejects the document, since it could not re-encode.
+Result<std::uint64_t> number(const xml::Node& node, std::string_view key) {
+  auto value = node.attr_uint(key, 0);
+  if (!value.ok()) return Error("profile: " + value.error().message);
+  return value;
+}
+
+Status read_errors(const xml::Node& parent, std::map<int, std::uint64_t>& out) {
+  for (const xml::Node* err_el : parent.children_named("error")) {
+    auto err = number(*err_el, "errno");
+    if (!err.ok()) return err.error();
+    if (err.value() > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      return Error("profile: malformed errno");
+    }
+    auto count = number(*err_el, "count");
+    if (!count.ok()) return count.error();
+    out[static_cast<int>(err.value())] += count.value();
+  }
+  return Status::success();
+}
+
+}  // namespace
+
 Result<ProfileReport> from_xml(const xml::Node& node) {
   if (node.name() != "profile") return Error("expected <profile>");
   ProfileReport report;
@@ -103,19 +139,18 @@ Result<ProfileReport> from_xml(const xml::Node& node) {
     const std::string* name = fn_el->attr("name");
     if (name == nullptr) return Error("<function> missing name");
     fn.symbol = *name;
-    fn.calls = static_cast<std::uint64_t>(fn_el->attr_int("calls", 0));
-    fn.cycles = static_cast<std::uint64_t>(fn_el->attr_int("cycles", 0));
-    fn.contained = static_cast<std::uint64_t>(fn_el->attr_int("contained", 0));
-    for (const xml::Node* err_el : fn_el->children_named("error")) {
-      fn.errno_counts[static_cast<int>(err_el->attr_int("errno", 0))] +=
-          static_cast<std::uint64_t>(err_el->attr_int("count", 0));
+    for (const auto& [key, target] : std::initializer_list<std::pair<const char*, std::uint64_t*>>{
+             {"calls", &fn.calls}, {"cycles", &fn.cycles}, {"contained", &fn.contained}}) {
+      auto value = number(*fn_el, key);
+      if (!value.ok()) return value.error();
+      *target = value.value();
     }
+    if (Status errors = read_errors(*fn_el, fn.errno_counts); !errors.ok()) return errors.error();
     report.functions.push_back(std::move(fn));
   }
   if (const xml::Node* global = node.child("errors")) {
-    for (const xml::Node* err_el : global->children_named("error")) {
-      report.global_errnos[static_cast<int>(err_el->attr_int("errno", 0))] +=
-          static_cast<std::uint64_t>(err_el->attr_int("count", 0));
+    if (Status errors = read_errors(*global, report.global_errnos); !errors.ok()) {
+      return errors.error();
     }
   }
   return report;

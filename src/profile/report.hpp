@@ -29,6 +29,10 @@ struct FunctionProfile {
   std::map<int, std::uint64_t> errno_counts;
 
   [[nodiscard]] std::uint64_t errors() const noexcept;
+
+  // Field-by-field sum: the one rule by which profiles fold into totals.
+  // A default-constructed total takes the symbol of the first profile added.
+  FunctionProfile& operator+=(const FunctionProfile& other);
 };
 
 struct ProfileReport {

@@ -69,6 +69,28 @@ long long Node::attr_int(std::string_view key, long long fallback) const noexcep
   return value;
 }
 
+Result<std::uint64_t> Node::attr_uint(std::string_view key, std::optional<std::uint64_t> fallback,
+                                      bool hex) const {
+  const std::string* raw = attr(key);
+  if (raw == nullptr) {
+    if (fallback.has_value()) return *fallback;
+    return Error("missing attribute " + std::string(key));
+  }
+  std::string_view digits = *raw;
+  int base = 10;
+  if (hex && digits.size() > 2 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')) {
+    digits.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value, base);
+  if (ec != std::errc{} || ptr != digits.data() + digits.size()) {
+    return Error("malformed " + std::string(key));
+  }
+  return value;
+}
+
 std::string escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());

@@ -12,7 +12,9 @@
 // attributes, character data, comments).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,9 +56,17 @@ class Node {
   // Convenience: add <name>text</name> child.
   Node& add_text_child(std::string name, std::string text);
 
-  // Attribute lookup that parses as integer; returns fallback when missing or
-  // malformed (profiling documents from older wrappers may lack fields).
+  // Lenient attribute lookup that parses as integer; returns fallback when
+  // missing or malformed.
   [[nodiscard]] long long attr_int(std::string_view key, long long fallback) const noexcept;
+
+  // Strict unsigned attribute: the whole value is decimal digits (or, with
+  // `hex`, also "0x" and hex digits) that fit in 64 bits; no sign, no
+  // spaces. A missing attribute yields `fallback`, or the error "missing
+  // attribute <key>" without one; any other value is "malformed <key>".
+  [[nodiscard]] Result<std::uint64_t> attr_uint(std::string_view key,
+                                                std::optional<std::uint64_t> fallback = {},
+                                                bool hex = false) const;
 
  private:
   std::string name_;

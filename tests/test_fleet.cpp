@@ -171,7 +171,10 @@ TEST(FleetCollectorTest, SummaryIsByteIdenticalAcrossShardAndWorkerCounts) {
 }
 
 TEST(FleetCollectorTest, TotalsMatchAPerDocumentRescan) {
-  const auto docs = small_fleet();
+  auto docs = small_fleet();
+  // One process name submitting three runs aggregates additively, not
+  // last-writer-wins.
+  for (int run = 0; run < 3; ++run) docs.push_back(canonical(sample_report()));
   CollectorConfig config;
   config.shards = 5;
   config.workers = 2;
@@ -201,10 +204,13 @@ TEST(FleetCollectorTest, TotalsMatchAPerDocumentRescan) {
     ASSERT_TRUE(expected.count(symbol)) << symbol;
     EXPECT_EQ(fn.calls, expected[symbol].calls) << symbol;
     EXPECT_EQ(fn.cycles, expected[symbol].cycles) << symbol;
+    EXPECT_EQ(fn.contained, expected[symbol].contained) << symbol;
     EXPECT_EQ(fn.errno_counts, expected[symbol].errno_counts) << symbol;
+    EXPECT_EQ(fn.symbol, symbol);
     calls += fn.calls;
   }
   EXPECT_EQ(calls, expected_calls);
+  EXPECT_GE(snap.functions.at("wctrans").contained, 3u);  // 1 per sample run
 }
 
 TEST(FleetCollectorTest, EveryDocumentIsAggregatedOrCounted) {
@@ -285,17 +291,49 @@ TEST(FleetCollectorTest, DropOldestEvictsHeadAndCounts) {
 }
 
 TEST(FleetCollectorTest, MalformedDocumentsAreCountedNotAggregated) {
+  // Each bad document with the first_error() it leaves on a fresh collector.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"<profile", "xml document: line 1:9: expected attribute name"},  // truncated XML
+      {std::string(kBinaryMagic) + "\x01", "binary document: truncated"},  // truncated binary
+      {"<campaign/>", "expected <profile>"},  // well-formed XML, wrong document kind
+      {"<profile><function/></profile>", "<function> missing name"},
+      // Numeric attributes of every XML kind are whole unsigned numbers in
+      // range, so "abc" cannot fold as 0 nor "-5" as 2^64-5.
+      {R"(<profile><function name="strlen" calls="abc"/></profile>)",
+       "profile: malformed calls"},
+      {R"(<profile><function name="strlen" calls="-5"/></profile>)",
+       "profile: malformed calls"},
+      {R"(<profile><function name="f" contained="+1"/></profile>)", "profile: malformed contained"},
+      {R"(<profile><function name="f"><error errno="4294967296"/></function></profile>)",
+       "profile: malformed errno"},  // beyond int
+      {R"(<profile><errors><error errno="22" count="zz"/></errors></profile>)",
+       "profile: malformed count"},
+      {R"(<dossier detector="heap-smash" seq="-1" tick="0" cycles="0" fault_addr="0x0"/>)",
+       "dossier: malformed seq"},
+      {R"(<surface-profile exported="-1" reachable="0" touched="0" trapped="0" )"
+       R"(resident_pages="0" total_pages="0"><reachable/><touched/><trapped/></surface-profile>)",
+       "surface-profile: malformed exported"},
+  };
   FleetCollector collector;
-  collector.submit("<profile"); // truncated XML
-  collector.submit(std::string(kBinaryMagic) + "\x01");  // truncated binary
-  collector.submit("<campaign/>");  // well-formed XML, wrong document kind
+  for (const auto& [doc, error] : bad) {
+    collector.submit(doc);
+    FleetCollector alone;
+    alone.submit(doc);
+    alone.flush();
+    EXPECT_EQ(alone.malformed(), 1u) << doc;
+    EXPECT_EQ(alone.aggregated(), 0u) << doc;
+    EXPECT_EQ(alone.first_error(), error) << doc;
+  }
   collector.submit(encode_binary(sample_report()));
   collector.flush();
-  EXPECT_EQ(collector.malformed(), 3u);
+  EXPECT_EQ(collector.malformed(), bad.size());
   EXPECT_EQ(collector.aggregated(), 1u);
   EXPECT_FALSE(collector.first_error().empty());
   const FleetSnapshot snap = collector.snapshot();
-  EXPECT_EQ(snap.functions.size(), 2u);  // only the good document's functions
+  // Only the good document's functions, with its totals untouched.
+  ASSERT_EQ(snap.functions.size(), 2u);
+  EXPECT_EQ(snap.functions.at("strlen").calls, 12u);
+  EXPECT_EQ(snap.functions.at("wctrans").calls, 3u);
   EXPECT_EQ(snap.submitted, snap.aggregated + snap.malformed + snap.dropped + snap.pending);
 }
 

@@ -1,8 +1,9 @@
 // Tests for the profiling pipeline: stats -> report -> XML -> collector ->
-// aggregation -> Fig 5 rendering.
+// aggregation -> Fig 5 rendering. The collector's own contracts (rejects,
+// additive totals, empty rendering) are tested in test_fleet.
 #include <gtest/gtest.h>
 
-#include "profile/collector.hpp"
+#include "fleet/collector.hpp"
 #include "profile/report.hpp"
 #include "testbed.hpp"
 #include "wrappers/wrappers.hpp"
@@ -103,91 +104,24 @@ TEST_F(ProfileFixture, TraceRecordsWorkload) {
 }
 
 TEST_F(ProfileFixture, CollectorIngestsAndAggregates) {
-  CollectorServer server;
-  ASSERT_TRUE(server.ingest(xml::serialize(to_xml(report()))).ok());
+  fleet::FleetCollector server;
+  server.submit(xml::serialize(to_xml(report())));
   // A second process's document.
   auto proc2 = testbed::make_process("p2");
   auto wrapper2 = wrappers::make_profiling_wrapper(testbed::libsimc()).value();
   proc2->preload(wrapper2);
   proc2->call("strlen", {P(proc2->alloc_cstring("abc"))});
-  ASSERT_TRUE(
-      server.ingest(xml::serialize(to_xml(build_report("p2", "profiling-wrapper",
-                                                       *wrapper2->stats()))))
-          .ok());
-  EXPECT_EQ(server.document_count(), 2u);
-  const auto agg = server.aggregate();
+  server.submit(
+      xml::serialize(to_xml(build_report("p2", "profiling-wrapper", *wrapper2->stats()))));
+  server.flush();
+  EXPECT_EQ(server.aggregated(), 2u);
+  EXPECT_EQ(server.malformed(), 0u);
+  const auto agg = server.snapshot().functions;
   EXPECT_EQ(agg.at("strlen").calls, 11u);  // 10 + 1 across processes
-  EXPECT_EQ(server.reports_for("p2").size(), 1u);
-  EXPECT_EQ(server.reports_for("unknown").size(), 0u);
+  EXPECT_EQ(agg.at("strlen").symbol, "strlen");
   const std::string summary = server.render_summary();
-  EXPECT_NE(summary.find("2 document(s)"), std::string::npos);
-  EXPECT_NE(summary.find("strlen: 11 calls"), std::string::npos);
-}
-
-TEST(Collector, RejectsGarbageAndWrongDocuments) {
-  CollectorServer server;
-  EXPECT_FALSE(server.ingest("not xml at all").ok());
-  EXPECT_FALSE(server.ingest("<campaign/>").ok());
-  EXPECT_EQ(server.document_count(), 0u);
-}
-
-TEST_F(ProfileFixture, IncrementalAggregateMatchesRescan) {
-  CollectorServer server;
-  ASSERT_TRUE(server.ingest(xml::serialize(to_xml(report()))).ok());
-  // A second document from the same stats: totals double.
-  ASSERT_TRUE(server.ingest(xml::serialize(to_xml(report()))).ok());
-  const auto& incremental = server.aggregate();
-  const auto rescan = server.aggregate_rescan();
-  ASSERT_EQ(incremental.size(), rescan.size());
-  for (const auto& [symbol, fn] : incremental) {
-    ASSERT_TRUE(rescan.count(symbol)) << symbol;
-    const FunctionProfile& other = rescan.at(symbol);
-    EXPECT_EQ(fn.calls, other.calls) << symbol;
-    EXPECT_EQ(fn.cycles, other.cycles) << symbol;
-    EXPECT_EQ(fn.contained, other.contained) << symbol;
-    EXPECT_EQ(fn.errno_counts, other.errno_counts) << symbol;
-  }
-  EXPECT_EQ(incremental.at("strlen").calls, 20u);
-}
-
-TEST_F(ProfileFixture, FailedIngestDoesNotMutateServerState) {
-  CollectorServer server;
-  ASSERT_TRUE(server.ingest(xml::serialize(to_xml(report()))).ok());
-  const std::string before = server.render_summary();
-  EXPECT_FALSE(server.ingest("<profile><function/></profile>").ok());  // missing name
-  EXPECT_FALSE(server.ingest("not xml").ok());
-  EXPECT_FALSE(server.ingest("<campaign/>").ok());
-  EXPECT_EQ(server.document_count(), 1u);
-  EXPECT_EQ(server.render_summary(), before);
-  EXPECT_EQ(server.aggregate().size(), server.aggregate_rescan().size());
-}
-
-TEST_F(ProfileFixture, ReportsForReturnsEveryRunOfADuplicateProcessName) {
-  CollectorServer server;
-  // The same process name submits three runs (a process may submit several).
-  for (int run = 0; run < 3; ++run) {
-    ASSERT_TRUE(server.ingest(xml::serialize(to_xml(report()))).ok());
-  }
-  ASSERT_TRUE(server
-                  .ingest(xml::serialize(to_xml(
-                      build_report("other-app", wrapper->name(), *wrapper->stats()))))
-                  .ok());
-  const auto runs = server.reports_for("workload-app");
-  ASSERT_EQ(runs.size(), 3u);
-  for (const ProfileReport* rep : runs) EXPECT_EQ(rep->process, "workload-app");
-  EXPECT_EQ(server.reports_for("other-app").size(), 1u);
-  // Duplicates aggregate additively, not last-writer-wins.
-  EXPECT_EQ(server.aggregate().at("strlen").calls, 40u);
-}
-
-TEST(Collector, EmptyServerAggregatesAndRendersCleanly) {
-  const CollectorServer server;
-  EXPECT_EQ(server.document_count(), 0u);
-  EXPECT_TRUE(server.aggregate().empty());
-  EXPECT_TRUE(server.aggregate_rescan().empty());
-  const std::string summary = server.render_summary();
-  EXPECT_NE(summary.find("0 document(s)"), std::string::npos);
-  EXPECT_NE(summary.find("0 distinct functions, 0 calls, 0 errors"), std::string::npos);
+  EXPECT_NE(summary.find("2 aggregated"), std::string::npos);
+  EXPECT_NE(summary.find("strlen"), std::string::npos);
 }
 
 TEST(ProfileReportEmpty, RendersWithoutErrors) {

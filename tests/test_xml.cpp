@@ -37,6 +37,24 @@ TEST(XmlNode, AttrIntParsesAndFallsBack) {
   EXPECT_EQ(node.attr_int("missing", 9), 9);
 }
 
+TEST(XmlNode, AttrUintIsStrict) {
+  Node node("n");
+  node.set_attr("dec", "18446744073709551615");
+  node.set_attr("hex", "0x1F");
+  for (const char* bad : {"-5", "+5", " 5", "5 ", "abc", "", "18446744073709551616", "0x"}) {
+    node.set_attr("bad", bad);
+    const auto value = node.attr_uint("bad", 0, /*hex=*/true);
+    ASSERT_FALSE(value.ok()) << bad;
+    EXPECT_EQ(value.error().message, "malformed bad") << bad;
+  }
+  EXPECT_EQ(node.attr_uint("dec").value(), 18446744073709551615ULL);
+  EXPECT_EQ(node.attr_uint("hex", std::nullopt, /*hex=*/true).value(), 31u);
+  EXPECT_FALSE(node.attr_uint("hex").ok());  // hex only when asked for
+  EXPECT_EQ(node.attr_uint("missing", 9).value(), 9u);
+  ASSERT_FALSE(node.attr_uint("missing").ok());
+  EXPECT_EQ(node.attr_uint("missing").error().message, "missing attribute missing");
+}
+
 TEST(XmlNode, ChildLookupByName) {
   Node node("root");
   node.add_child("a");
