@@ -1,15 +1,19 @@
-// Byte-locks every binary wire format (tests/wire_goldens.hpp): the fixed
-// inputs must encode to the checked-in golden bytes, every golden must
-// decode and re-encode to itself, and every decoder must judge the seeded
-// mutant corpus (truncations, bit flips, inflated counts) exactly as the
+// Byte-locks every binary wire format (tests/wire_goldens.hpp) and every
+// XML document (tests/xml_goldens.hpp): the fixed inputs must encode to the
+// checked-in golden bytes, every binary golden must decode and re-encode to
+// itself, and every decoder must judge its seeded mutant corpus (binary:
+// truncations, bit flips, inflated counts; XML: deleted, duplicated and
+// renamed elements, deleted and garbled attributes) exactly as the
 // checked-in verdicts record. On a mismatch the fresh verdicts are written
-// to wire_verdicts.actual in the working directory for diffing.
+// to wire_verdicts.actual / xml_verdicts.actual in the working directory for
+// diffing.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <map>
 
 #include "wire_goldens.hpp"
+#include "xml_goldens.hpp"
 
 namespace healers::wiretest {
 namespace {
@@ -37,25 +41,52 @@ TEST(WireGoldens, EveryGoldenRoundTripsToItself) {
   }
 }
 
+// Compares freshly computed verdicts with a checked-in verdict fixture,
+// naming the first differing line; a mismatch also leaves the fresh
+// verdicts in `<fixture stem>.actual`.
+void expect_recorded(const std::string& actual, const std::string& fixture) {
+  const std::string expected = read_fixture(fixture);
+  if (actual == expected) return;
+  std::ofstream(fixture.substr(0, fixture.find('.')) + ".actual", std::ios::binary) << actual;
+  std::istringstream want(expected);
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  while (std::getline(want, want_line)) {
+    std::getline(got, got_line);
+    if (want_line != got_line) {
+      FAIL() << "first differing verdict line:\n  recorded: " << want_line.substr(0, 200)
+             << "\n  actual:   " << got_line.substr(0, 200);
+    }
+  }
+  FAIL() << "verdict corpus differs in length (see the .actual file)";
+}
+
 TEST(WireGoldens, MutantVerdictsMatchTheRecordedOnes) {
   std::string actual;
   for (const FixtureGolden& golden : fixture_goldens()) actual += mutant_verdicts(golden);
-  const std::string expected = read_fixture("wire_verdicts.txt");
-  if (actual != expected) {
-    std::ofstream("wire_verdicts.actual", std::ios::binary) << actual;
-    std::istringstream want(expected);
-    std::istringstream got(actual);
-    std::string want_line;
-    std::string got_line;
-    while (std::getline(want, want_line)) {
-      std::getline(got, got_line);
-      if (want_line != got_line) {
-        FAIL() << "first differing verdict line:\n  recorded: " << want_line.substr(0, 200)
-               << "\n  actual:   " << got_line.substr(0, 200);
-      }
-    }
-    FAIL() << "verdict corpus differs in length (see wire_verdicts.actual)";
+  expect_recorded(actual, "wire_verdicts.txt");
+}
+
+const std::vector<Golden>& xml_fixture_goldens() {
+  static const std::vector<Golden> goldens = load_xml_goldens();
+  return goldens;
+}
+
+TEST(XmlGoldens, FixedInputsWriteTheGoldenDocuments) {
+  const std::vector<Golden> built = build_xml_goldens();
+  expect_recorded(write_xml_goldens(built), "xml_goldens.txt");
+  ASSERT_EQ(built.size(), xml_fixture_goldens().size());
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(built[i].name, xml_fixture_goldens()[i].name);
+    EXPECT_EQ(built[i].bytes, xml_fixture_goldens()[i].bytes) << built[i].name;
   }
+}
+
+TEST(XmlGoldens, MutantVerdictsMatchTheRecordedOnes) {
+  std::string actual;
+  for (const Golden& golden : xml_fixture_goldens()) actual += xml_mutant_verdicts(golden);
+  expect_recorded(actual, "xml_verdicts.txt");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "attacks/attacks.hpp"
@@ -167,6 +168,41 @@ inline debloat::SurfaceProfile surface_input(const core::Toolkit& toolkit) {
   return debloat::capture_surface_profile(*proc, report, "host-a");
 }
 
+// The two derivation requests: a derive and a repair-bundle request.
+inline server::DeriveRequest derive_request_input() {
+  server::DeriveRequest derive;
+  derive.soname = "libsimm.so.1";
+  derive.seed = 42;
+  derive.format = server::WireFormat::kBinary;
+  return derive;
+}
+
+inline server::DeriveRequest bundle_request_input() {
+  server::DeriveRequest bundle;
+  bundle.endpoint = server::Endpoint::kBundle;
+  bundle.soname = "libsimc.so.1";
+  bundle.seed = 7;
+  bundle.variants = 1;
+  bundle.bundle = server::BundleKind::kRepair;
+  bundle.format = server::WireFormat::kBinary;
+  return bundle;
+}
+
+// One response per status, named by it; `probes` is the ok response's count.
+inline std::vector<std::pair<std::string, server::DeriveResponse>> response_inputs(
+    std::uint64_t probes) {
+  server::DeriveResponse ok;
+  ok.probes = probes;
+  ok.payload = "/* HEALERS security wrapper bundle */\nint healers_bundle = 1;\n";
+  server::DeriveResponse error;
+  error.status = server::ResponseStatus::kError;
+  error.error = "unknown library libnope.so";
+  server::DeriveResponse shed;
+  shed.status = server::ResponseStatus::kShed;
+  shed.error = "admission queue full";
+  return {{"ok", ok}, {"error", error}, {"shed", shed}};
+}
+
 inline std::vector<Golden> build_goldens() {
   core::Toolkit toolkit;
   std::vector<Golden> goldens;
@@ -186,32 +222,11 @@ inline std::vector<Golden> build_goldens() {
   (void)campaign_toolkit.derive_repair_policy("libsimm.so.1", seed42()).value();
   goldens.push_back({"HCB1", server::encode_campaign_binary(campaign)});
 
-  server::DeriveRequest derive;
-  derive.soname = "libsimm.so.1";
-  derive.seed = 42;
-  derive.format = server::WireFormat::kBinary;
-  goldens.push_back({"HRQ1-derive", derive.encode()});
-  server::DeriveRequest bundle;
-  bundle.endpoint = server::Endpoint::kBundle;
-  bundle.soname = "libsimc.so.1";
-  bundle.seed = 7;
-  bundle.variants = 1;
-  bundle.bundle = server::BundleKind::kRepair;
-  bundle.format = server::WireFormat::kBinary;
-  goldens.push_back({"HRQ1-bundle", bundle.encode()});
-
-  server::DeriveResponse ok;
-  ok.probes = campaign.total_probes();
-  ok.payload = "/* HEALERS security wrapper bundle */\nint healers_bundle = 1;\n";
-  goldens.push_back({"HRS1-ok", ok.encode(server::WireFormat::kBinary)});
-  server::DeriveResponse error;
-  error.status = server::ResponseStatus::kError;
-  error.error = "unknown library libnope.so";
-  goldens.push_back({"HRS1-error", error.encode(server::WireFormat::kBinary)});
-  server::DeriveResponse shed;
-  shed.status = server::ResponseStatus::kShed;
-  shed.error = "admission queue full";
-  goldens.push_back({"HRS1-shed", shed.encode(server::WireFormat::kBinary)});
+  goldens.push_back({"HRQ1-derive", derive_request_input().encode()});
+  goldens.push_back({"HRQ1-bundle", bundle_request_input().encode()});
+  for (const auto& [status, response] : response_inputs(campaign.total_probes())) {
+    goldens.push_back({"HRS1-" + status, response.encode(server::WireFormat::kBinary)});
+  }
 
   goldens.push_back({"HSCE1", server::encode_cache_entry(campaign_toolkit.export_campaigns().at(0))});
   goldens.push_back({"HSIP1", server::encode_profile_entry(
