@@ -2,36 +2,37 @@
 
 #include <sstream>
 
-#include "xml/xml.hpp"
+#include "xml/archive.hpp"
 
 namespace healers::debloat {
 
 namespace {
 
-void add_symbol_list(xml::Node& root, const std::string& name,
-                     const std::vector<std::string>& symbols) {
-  xml::Node& list = root.add_child(name);
-  for (const std::string& symbol : symbols) {
-    list.add_child("symbol").set_attr("name", symbol);
-  }
-}
-
-Result<std::vector<std::string>> read_symbol_list(const xml::Node& root,
-                                                  std::string_view name) {
-  const xml::Node* list = root.child(name);
-  if (list == nullptr) return Error("surface-profile: missing <" + std::string(name) + ">");
-  std::vector<std::string> out;
-  for (const xml::Node* row : list->children_named("symbol")) {
-    const std::string* symbol = row->attr("name");
-    if (symbol == nullptr) return Error("surface-profile: <symbol> without name");
-    out.push_back(*symbol);
-  }
-  return out;
-}
-
 int percent(double ratio) { return static_cast<int>(ratio * 100.0 + 0.5); }
 
 }  // namespace
+
+// The <surface-profile> document; its binary twin is fields() in
+// fleet/wire.cpp.
+template <class Ar>
+void xml_fields(Ar& ar, SurfaceProfile& profile) {
+  ar.attr("host", profile.host);
+  ar.attr("executable", profile.executable);
+  ar.required("exported", profile.exported);
+  ar.required("reachable", profile.reachable);
+  ar.required("touched", profile.touched);
+  ar.required("trapped", profile.trapped);
+  ar.required("resident_pages", profile.resident_pages);
+  ar.required("total_pages", profile.total_pages);
+  const auto symbols = [&ar](std::string_view name, std::vector<std::string>& list) {
+    ar.required_child(name, [&list](auto& ar) {
+      ar.each("symbol", list, [](auto& ar, std::string& symbol) { ar.required("name", symbol); });
+    });
+  };
+  symbols("reachable", profile.reachable_symbols);
+  symbols("touched", profile.touched_symbols);
+  symbols("trapped", profile.trapped_symbols);
+}
 
 double SurfaceProfile::unmapped_ratio() const noexcept {
   if (exported == 0) return 0.0;
@@ -51,19 +52,7 @@ double SurfaceProfile::resident_ratio() const noexcept {
 }
 
 std::string SurfaceProfile::to_xml() const {
-  xml::Node root("surface-profile");
-  root.set_attr("host", host);
-  root.set_attr("executable", executable);
-  root.set_attr("exported", std::to_string(exported));
-  root.set_attr("reachable", std::to_string(reachable));
-  root.set_attr("touched", std::to_string(touched));
-  root.set_attr("trapped", std::to_string(trapped));
-  root.set_attr("resident_pages", std::to_string(resident_pages));
-  root.set_attr("total_pages", std::to_string(total_pages));
-  add_symbol_list(root, "reachable", reachable_symbols);
-  add_symbol_list(root, "touched", touched_symbols);
-  add_symbol_list(root, "trapped", trapped_symbols);
-  return xml::serialize(root);
+  return xml::serialize(xml::write("surface-profile", *this));
 }
 
 std::string SurfaceProfile::to_text() const {
@@ -93,34 +82,7 @@ Result<SurfaceProfile> surface_from_xml(std::string_view document) {
 }
 
 Result<SurfaceProfile> surface_from_xml(const xml::Node& root) {
-  if (root.name() != "surface-profile") {
-    return Error("surface-profile: root element is not <surface-profile>");
-  }
-  SurfaceProfile out;
-  if (const std::string* host = root.attr("host")) out.host = *host;
-  if (const std::string* exe = root.attr("executable")) out.executable = *exe;
-  for (const auto& [field, target] :
-       std::initializer_list<std::pair<const char*, std::uint64_t*>>{
-           {"exported", &out.exported},
-           {"reachable", &out.reachable},
-           {"touched", &out.touched},
-           {"trapped", &out.trapped},
-           {"resident_pages", &out.resident_pages},
-           {"total_pages", &out.total_pages}}) {
-    auto value = root.attr_uint(field);
-    if (!value.ok()) return Error("surface-profile: " + value.error().message);
-    *target = value.value();
-  }
-  for (const auto& [name, target] :
-       std::initializer_list<std::pair<const char*, std::vector<std::string>*>>{
-           {"reachable", &out.reachable_symbols},
-           {"touched", &out.touched_symbols},
-           {"trapped", &out.trapped_symbols}}) {
-    auto list = read_symbol_list(root, name);
-    if (!list.ok()) return list.error();
-    *target = std::move(list).take();
-  }
-  return out;
+  return xml::read<SurfaceProfile>(root, "surface-profile");
 }
 
 SurfaceProfile capture_surface_profile(const linker::Process& proc,

@@ -1,23 +1,12 @@
 #include "gen/repair_policy.hpp"
 
-#include <array>
+#include "xml/archive.hpp"
 
 namespace healers::gen {
 
 namespace {
 
 using simlib::RepairAction;
-
-constexpr std::array<RepairAction, 4> kAllActions = {
-    RepairAction::kTruncateWrite, RepairAction::kSubstituteBounded,
-    RepairAction::kSynthesizeInput, RepairAction::kSafeReturn};
-
-Result<RepairAction> action_from_name(const std::string& name) {
-  for (const RepairAction action : kAllActions) {
-    if (simlib::to_string(action) == name) return action;
-  }
-  return Error("repair-policy: unknown action '" + name + "'");
-}
 
 std::string size_text(const std::optional<parser::SizeExpr>& expr) {
   return expr.has_value() ? expr->to_string() : std::string();
@@ -41,6 +30,27 @@ void find_copy_source(const parser::SizeExpr& expr, int dest_arg, int* src_arg, 
 }
 
 }  // namespace
+
+// The <repair-policy> document. It has no binary form of its own: the HSRP1
+// spec-cache entry carries this XML.
+template <class Ar>
+void xml_fields(Ar& ar, RepairPolicy& policy) {
+  ar.attr("library", policy.library);
+  ar.attr("seed", policy.seed);
+  ar.derived("rules", [&] { return std::to_string(policy.rule_count()); });
+  ar.each("function", policy.functions, [](auto& ar, FunctionRepairPolicy& fn) {
+    ar.attr("name", fn.function);
+    ar.each("rule", fn.rules, [](auto& ar, RepairRule& rule) {
+      ar.attr("arg", rule.arg_index);
+      ar.required("action", xml::Named{rule.action, RepairAction::kSafeReturn});
+      ar.attr_if(rule.clamp_arg != 0, "clamp_arg", rule.clamp_arg);
+      ar.attr_if(rule.src_arg != 0, "src_arg", rule.src_arg);
+      ar.attr_if(rule.append, "append", rule.append);
+      ar.attr_if(rule.write_size.has_value(), "size", rule.write_size);
+      ar.attr("provenance", rule.provenance);
+    });
+  });
+}
 
 const RepairRule* FunctionRepairPolicy::rule_for_arg(int index_1based) const noexcept {
   for (const RepairRule& rule : rules) {
@@ -68,61 +78,10 @@ bool operator==(const RepairRule& a, const RepairRule& b) {
          size_text(a.write_size) == size_text(b.write_size) && a.provenance == b.provenance;
 }
 
-xml::Node RepairPolicy::to_xml() const {
-  xml::Node root("repair-policy");
-  root.set_attr("library", library);
-  root.set_attr("seed", std::to_string(seed));
-  root.set_attr("rules", std::to_string(rule_count()));
-  for (const FunctionRepairPolicy& fn : functions) {
-    xml::Node& fn_node = root.add_child("function");
-    fn_node.set_attr("name", fn.function);
-    for (const RepairRule& rule : fn.rules) {
-      xml::Node& row = fn_node.add_child("rule");
-      row.set_attr("arg", std::to_string(rule.arg_index));
-      row.set_attr("action", simlib::to_string(rule.action));
-      if (rule.clamp_arg != 0) row.set_attr("clamp_arg", std::to_string(rule.clamp_arg));
-      if (rule.src_arg != 0) row.set_attr("src_arg", std::to_string(rule.src_arg));
-      if (rule.append) row.set_attr("append", "1");
-      if (rule.write_size.has_value()) row.set_attr("size", rule.write_size->to_string());
-      row.set_attr("provenance", rule.provenance);
-    }
-  }
-  return root;
-}
+xml::Node RepairPolicy::to_xml() const { return xml::write("repair-policy", *this); }
 
 Result<RepairPolicy> RepairPolicy::from_xml(const xml::Node& node) {
-  if (node.name() != "repair-policy") {
-    return Error("repair-policy: root element is not <repair-policy>");
-  }
-  RepairPolicy out;
-  if (const std::string* library = node.attr("library")) out.library = *library;
-  out.seed = static_cast<std::uint64_t>(node.attr_int("seed", 0));
-  for (const xml::Node* fn_node : node.children_named("function")) {
-    FunctionRepairPolicy fn;
-    if (const std::string* name = fn_node->attr("name")) fn.function = *name;
-    for (const xml::Node* row : fn_node->children_named("rule")) {
-      RepairRule rule;
-      rule.arg_index = static_cast<int>(row->attr_int("arg", 0));
-      const std::string* action = row->attr("action");
-      auto parsed = action_from_name(action == nullptr ? "" : *action);
-      if (!parsed.ok()) return parsed.error();
-      rule.action = parsed.value();
-      rule.clamp_arg = static_cast<int>(row->attr_int("clamp_arg", 0));
-      rule.src_arg = static_cast<int>(row->attr_int("src_arg", 0));
-      rule.append = row->attr_int("append", 0) != 0;
-      if (const std::string* size = row->attr("size")) {
-        auto expr = parser::SizeExpr::parse(*size);
-        if (!expr.ok()) return Error("repair-policy: bad size '" + *size + "'");
-        rule.write_size = std::move(expr).take();
-      }
-      if (const std::string* provenance = row->attr("provenance")) {
-        rule.provenance = *provenance;
-      }
-      fn.rules.push_back(std::move(rule));
-    }
-    out.functions.push_back(std::move(fn));
-  }
-  return out;
+  return xml::read<RepairPolicy>(node, "repair-policy");
 }
 
 Result<RepairPolicy> derive_repair_policy(const injector::CampaignResult& campaign,

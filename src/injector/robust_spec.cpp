@@ -1,9 +1,8 @@
 #include "injector/robust_spec.hpp"
 
-#include <algorithm>
 #include <sstream>
 
-#include "typelattice/subsume.hpp"
+#include "xml/archive.hpp"
 
 namespace healers::injector {
 
@@ -45,153 +44,61 @@ std::string ArgSpec::safe_type_name() const {
   return "void";
 }
 
-namespace {
-
-void checks_to_xml(const DerivedChecks& checks, xml::Node& node) {
-  xml::Node& el = node.add_child("checks");
-  auto flag = [&el](const char* key, bool value) {
-    if (value) el.set_attr(key, "1");
-  };
-  flag("nonnull", checks.require_nonnull);
-  flag("mapped", checks.require_mapped);
-  flag("writable", checks.require_writable);
-  flag("terminated", checks.require_terminated);
-  flag("size", checks.require_size_check);
-  flag("heapptr", checks.require_heap_pointer);
-  flag("file", checks.require_file);
-  flag("callback", checks.require_callback);
-  if (checks.range.has_value()) {
-    el.set_attr("range_lo", std::to_string(checks.range->first));
-    el.set_attr("range_hi", std::to_string(checks.range->second));
-  }
+// The <robust-spec> element; its binary twin is the spec part of fields()
+// in server/codec.cpp.
+template <class Ar>
+void xml_fields(Ar& ar, RobustSpec& spec) {
+  ar.required("function", spec.function);
+  ar.attr("library", spec.library);
+  ar.attr("probes", spec.total_probes);
+  ar.attr("failures", spec.total_failures);
+  ar.attr("crashes", spec.crashes);
+  ar.attr("hangs", spec.hangs);
+  ar.attr("aborts", spec.aborts);
+  ar.attr_if(spec.skipped_noreturn, "skipped", xml::Word{spec.skipped_noreturn, "noreturn"});
+  ar.text("prototype", spec.declaration);
+  ar.each("arg", spec.args, [](auto& ar, ArgSpec& arg) {
+    ar.required("index", arg.index);
+    ar.check(arg.index >= 1, "index");
+    ar.attr("ctype", arg.ctype);
+    ar.attr("class", xml::Named{arg.cls, parser::TypeClass::kPointer});
+    ar.derived("safe-type", [&] { return arg.safe_type_name(); });
+    ar.each("verdict", arg.verdicts, [](auto& ar, TypeVerdict& verdict) {
+      ar.required("type", xml::Named{verdict.id, lattice::TestTypeId::kFInf});
+      ar.attr("probes", verdict.probes);
+      ar.attr("failures", verdict.failures);
+      ar.attr("crashes", verdict.crashes);
+      ar.attr("hangs", verdict.hangs);
+      ar.attr("aborts", verdict.aborts);
+      ar.attr_if(!verdict.first_failure.empty(), "first", verdict.first_failure);
+    });
+    ar.child("checks", [&checks = arg.checks](auto& ar) {
+      const auto flag = [&ar](std::string_view key, bool& on) { ar.attr_if(on, key, on); };
+      flag("nonnull", checks.require_nonnull);
+      flag("mapped", checks.require_mapped);
+      flag("writable", checks.require_writable);
+      flag("terminated", checks.require_terminated);
+      flag("size", checks.require_size_check);
+      flag("heapptr", checks.require_heap_pointer);
+      flag("file", checks.require_file);
+      flag("callback", checks.require_callback);
+      ar.attr_pair("range_lo", "range_hi", checks.range);
+    });
+  });
 }
 
-DerivedChecks checks_from_xml(const xml::Node* el) {
-  DerivedChecks checks;
-  if (el == nullptr) return checks;
-  checks.require_nonnull = el->attr_int("nonnull", 0) != 0;
-  checks.require_mapped = el->attr_int("mapped", 0) != 0;
-  checks.require_writable = el->attr_int("writable", 0) != 0;
-  checks.require_terminated = el->attr_int("terminated", 0) != 0;
-  checks.require_size_check = el->attr_int("size", 0) != 0;
-  checks.require_heap_pointer = el->attr_int("heapptr", 0) != 0;
-  checks.require_file = el->attr_int("file", 0) != 0;
-  checks.require_callback = el->attr_int("callback", 0) != 0;
-  if (el->attr("range_lo") != nullptr && el->attr("range_hi") != nullptr) {
-    checks.range = {el->attr_int("range_lo", 0), el->attr_int("range_hi", 0)};
-  }
-  return checks;
+// The <campaign> document; its binary twin is fields() in server/codec.cpp.
+template <class Ar>
+void xml_fields(Ar& ar, CampaignResult& campaign) {
+  ar.attr("library", campaign.library);
+  ar.attr("seed", campaign.seed);
+  ar.each("robust-spec", campaign.specs, [](auto& ar, RobustSpec& spec) { xml_fields(ar, spec); });
 }
 
-const char* class_name(parser::TypeClass cls) {
-  switch (cls) {
-    case parser::TypeClass::kPointer: return "pointer";
-    case parser::TypeClass::kIntegral: return "integral";
-    case parser::TypeClass::kFloating: return "floating";
-    case parser::TypeClass::kVoid: return "void";
-  }
-  return "?";
-}
-
-parser::TypeClass class_from_name(const std::string& name) {
-  if (name == "pointer") return parser::TypeClass::kPointer;
-  if (name == "floating") return parser::TypeClass::kFloating;
-  if (name == "void") return parser::TypeClass::kVoid;
-  return parser::TypeClass::kIntegral;
-}
-
-// TestTypeId <-> string for serialization: the reverse of lattice::to_string
-// as a map built once — campaign parsing calls this per <verdict>, and the
-// old linear rescan re-stringified all 24 ids per lookup.
-std::optional<lattice::TestTypeId> test_type_from_name(const std::string& name) {
-  using lattice::TestTypeId;
-  static const std::map<std::string, TestTypeId> kByName = [] {
-    std::map<std::string, TestTypeId> names;
-    for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) {
-      const auto id = static_cast<TestTypeId>(i);
-      names.emplace(lattice::to_string(id), id);
-    }
-    return names;
-  }();
-  const auto it = kByName.find(name);
-  if (it == kByName.end()) return std::nullopt;
-  return it->second;
-}
-
-}  // namespace
-
-xml::Node RobustSpec::to_xml() const {
-  xml::Node node("robust-spec");
-  node.set_attr("function", function);
-  node.set_attr("library", library);
-  node.set_attr("probes", std::to_string(total_probes));
-  node.set_attr("failures", std::to_string(total_failures));
-  node.set_attr("crashes", std::to_string(crashes));
-  node.set_attr("hangs", std::to_string(hangs));
-  node.set_attr("aborts", std::to_string(aborts));
-  if (skipped_noreturn) node.set_attr("skipped", "noreturn");
-  node.add_text_child("prototype", declaration);
-  for (const ArgSpec& arg : args) {
-    xml::Node& arg_el = node.add_child("arg");
-    arg_el.set_attr("index", std::to_string(arg.index));
-    arg_el.set_attr("ctype", arg.ctype);
-    arg_el.set_attr("class", class_name(arg.cls));
-    arg_el.set_attr("safe-type", arg.safe_type_name());
-    for (const TypeVerdict& v : arg.verdicts) {
-      xml::Node& v_el = arg_el.add_child("verdict");
-      v_el.set_attr("type", lattice::to_string(v.id));
-      v_el.set_attr("probes", std::to_string(v.probes));
-      v_el.set_attr("failures", std::to_string(v.failures));
-      v_el.set_attr("crashes", std::to_string(v.crashes));
-      v_el.set_attr("hangs", std::to_string(v.hangs));
-      v_el.set_attr("aborts", std::to_string(v.aborts));
-      if (!v.first_failure.empty()) v_el.set_attr("first", v.first_failure);
-    }
-    checks_to_xml(arg.checks, arg_el);
-  }
-  return node;
-}
+xml::Node RobustSpec::to_xml() const { return xml::write("robust-spec", *this); }
 
 Result<RobustSpec> RobustSpec::from_xml(const xml::Node& node) {
-  if (node.name() != "robust-spec") return Error("expected <robust-spec>");
-  RobustSpec spec;
-  const std::string* function = node.attr("function");
-  if (function == nullptr) return Error("<robust-spec> missing function attribute");
-  spec.function = *function;
-  if (const std::string* library = node.attr("library")) spec.library = *library;
-  spec.total_probes = static_cast<std::uint64_t>(node.attr_int("probes", 0));
-  spec.total_failures = static_cast<std::uint64_t>(node.attr_int("failures", 0));
-  spec.crashes = static_cast<std::uint64_t>(node.attr_int("crashes", 0));
-  spec.hangs = static_cast<std::uint64_t>(node.attr_int("hangs", 0));
-  spec.aborts = static_cast<std::uint64_t>(node.attr_int("aborts", 0));
-  spec.skipped_noreturn = node.attr("skipped") != nullptr;
-  if (const xml::Node* proto = node.child("prototype")) spec.declaration = proto->text();
-  for (const xml::Node* arg_el : node.children_named("arg")) {
-    ArgSpec arg;
-    arg.index = static_cast<int>(arg_el->attr_int("index", 0));
-    if (arg.index < 1) return Error("<arg> with bad index");
-    if (const std::string* ctype = arg_el->attr("ctype")) arg.ctype = *ctype;
-    const std::string* cls = arg_el->attr("class");
-    arg.cls = class_from_name(cls == nullptr ? "integral" : *cls);
-    for (const xml::Node* v_el : arg_el->children_named("verdict")) {
-      TypeVerdict v;
-      const std::string* type_name = v_el->attr("type");
-      if (type_name == nullptr) return Error("<verdict> missing type");
-      const auto id = test_type_from_name(*type_name);
-      if (!id.has_value()) return Error("<verdict> unknown type " + *type_name);
-      v.id = *id;
-      v.probes = static_cast<int>(v_el->attr_int("probes", 0));
-      v.failures = static_cast<int>(v_el->attr_int("failures", 0));
-      v.crashes = static_cast<int>(v_el->attr_int("crashes", 0));
-      v.hangs = static_cast<int>(v_el->attr_int("hangs", 0));
-      v.aborts = static_cast<int>(v_el->attr_int("aborts", 0));
-      if (const std::string* first = v_el->attr("first")) v.first_failure = *first;
-      arg.verdicts.push_back(std::move(v));
-    }
-    arg.checks = checks_from_xml(arg_el->child("checks"));
-    spec.args.push_back(std::move(arg));
-  }
-  return spec;
+  return xml::read<RobustSpec>(node, "robust-spec");
 }
 
 std::uint64_t CampaignResult::total_probes() const noexcept {
@@ -293,27 +200,10 @@ xml::Node CampaignEngineStats::to_xml() const {
   return node;
 }
 
-xml::Node CampaignResult::to_xml() const {
-  xml::Node node("campaign");
-  node.set_attr("library", library);
-  node.set_attr("seed", std::to_string(seed));
-  for (const RobustSpec& spec : specs) {
-    node.add_child(spec.to_xml());
-  }
-  return node;
-}
+xml::Node CampaignResult::to_xml() const { return xml::write("campaign", *this); }
 
 Result<CampaignResult> CampaignResult::from_xml(const xml::Node& node) {
-  if (node.name() != "campaign") return Error("expected <campaign>");
-  CampaignResult out;
-  if (const std::string* library = node.attr("library")) out.library = *library;
-  out.seed = static_cast<std::uint64_t>(node.attr_int("seed", 0));
-  for (const xml::Node* spec_el : node.children_named("robust-spec")) {
-    auto spec = RobustSpec::from_xml(*spec_el);
-    if (!spec.ok()) return spec.error();
-    out.specs.push_back(std::move(spec).take());
-  }
-  return out;
+  return xml::read<CampaignResult>(node, "campaign");
 }
 
 }  // namespace healers::injector

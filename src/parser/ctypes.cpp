@@ -39,6 +39,12 @@ std::string base_to_string(const TypeExpr& type) {
 
 }  // namespace
 
+std::string_view to_string(TypeClass cls) noexcept {
+  static constexpr std::string_view kNames[] = {"void", "integral", "floating", "pointer"};
+  return static_cast<std::size_t>(cls) < std::size(kNames) ? kNames[static_cast<std::size_t>(cls)]
+                                                            : "?";
+}
+
 TypeClass TypeExpr::classify() const noexcept {
   if (is_function_pointer || pointer_depth > 0) return TypeClass::kPointer;
   switch (base) {

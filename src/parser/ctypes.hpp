@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace healers::parser {
@@ -33,6 +34,9 @@ enum class TypeClass : std::uint8_t {
   kFloating,
   kPointer,
 };
+
+// "void", "integral", "floating" or "pointer" (the campaign XML encoding).
+[[nodiscard]] std::string_view to_string(TypeClass cls) noexcept;
 
 struct TypeExpr {
   BaseType base = BaseType::kInt;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "simlib/cerrno.hpp"
+#include "xml/archive.hpp"
 
 namespace healers::profile {
 
@@ -72,88 +72,42 @@ ProfileReport build_report(const std::string& process, const std::string& wrappe
   return report;
 }
 
-xml::Node to_xml(const ProfileReport& report) {
-  xml::Node node("profile");
-  node.set_attr("process", report.process);
-  node.set_attr("wrapper", report.wrapper);
-  node.set_attr("total_calls", std::to_string(report.total_calls()));
-  node.set_attr("total_cycles", std::to_string(report.total_cycles()));
-  for (const FunctionProfile& fn : report.functions) {
-    xml::Node& fn_el = node.add_child("function");
-    fn_el.set_attr("name", fn.symbol);
-    fn_el.set_attr("calls", std::to_string(fn.calls));
-    fn_el.set_attr("cycles", std::to_string(fn.cycles));
-    if (fn.contained > 0) fn_el.set_attr("contained", std::to_string(fn.contained));
-    for (const auto& [err, count] : fn.errno_counts) {
-      xml::Node& err_el = fn_el.add_child("error");
-      err_el.set_attr("errno", std::to_string(err));
-      err_el.set_attr("name", simlib::errno_name(err));
-      err_el.set_attr("count", std::to_string(count));
-    }
-  }
-  if (!report.global_errnos.empty()) {
-    xml::Node& global = node.add_child("errors");
-    for (const auto& [err, count] : report.global_errnos) {
-      xml::Node& err_el = global.add_child("error");
-      err_el.set_attr("errno", std::to_string(err));
-      err_el.set_attr("name", simlib::errno_name(err));
-      err_el.set_attr("count", std::to_string(count));
-    }
-  }
-  return node;
-}
-
 namespace {
 
-// A count or errno attribute: missing reads as 0, while a malformed or
-// negative value rejects the document, since it could not re-encode.
-Result<std::uint64_t> number(const xml::Node& node, std::string_view key) {
-  auto value = node.attr_uint(key, 0);
-  if (!value.ok()) return Error("profile: " + value.error().message);
-  return value;
-}
-
-Status read_errors(const xml::Node& parent, std::map<int, std::uint64_t>& out) {
-  for (const xml::Node* err_el : parent.children_named("error")) {
-    auto err = number(*err_el, "errno");
-    if (!err.ok()) return err.error();
-    if (err.value() > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      return Error("profile: malformed errno");
-    }
-    auto count = number(*err_el, "count");
-    if (!count.ok()) return count.error();
-    out[static_cast<int>(err.value())] += count.value();
-  }
-  return Status::success();
+template <class Ar>
+void xml_errnos(Ar& ar, std::map<int, std::uint64_t>& counts) {
+  ar.each("error", counts, [](auto& ar, int& err, std::uint64_t& count) {
+    ar.attr("errno", err);
+    ar.check(err >= 0, "errno");
+    ar.derived("name", [&] { return simlib::errno_name(err); });
+    ar.attr("count", count);
+  });
 }
 
 }  // namespace
 
+// The <profile> document; its binary twin is fields() in fleet/wire.cpp.
+template <class Ar>
+void xml_fields(Ar& ar, ProfileReport& report) {
+  ar.attr("process", report.process);
+  ar.attr("wrapper", report.wrapper);
+  ar.derived("total_calls", [&] { return std::to_string(report.total_calls()); });
+  ar.derived("total_cycles", [&] { return std::to_string(report.total_cycles()); });
+  ar.each("function", report.functions, [](auto& ar, FunctionProfile& fn) {
+    ar.required("name", fn.symbol);
+    ar.attr("calls", fn.calls);
+    ar.attr("cycles", fn.cycles);
+    ar.attr_if(fn.contained > 0, "contained", fn.contained);
+    xml_errnos(ar, fn.errno_counts);
+  });
+  ar.child_if(!report.global_errnos.empty(), "errors",
+              [&](auto& ar) { xml_errnos(ar, report.global_errnos); });
+}
+
+xml::Node to_xml(const ProfileReport& report) { return xml::write("profile", report); }
+
 Result<ProfileReport> from_xml(const xml::Node& node) {
-  if (node.name() != "profile") return Error("expected <profile>");
-  ProfileReport report;
-  if (const std::string* process = node.attr("process")) report.process = *process;
-  if (const std::string* wrapper = node.attr("wrapper")) report.wrapper = *wrapper;
-  for (const xml::Node* fn_el : node.children_named("function")) {
-    FunctionProfile fn;
-    const std::string* name = fn_el->attr("name");
-    if (name == nullptr) return Error("<function> missing name");
-    fn.symbol = *name;
-    for (const auto& [key, target] : std::initializer_list<std::pair<const char*, std::uint64_t*>>{
-             {"calls", &fn.calls}, {"cycles", &fn.cycles}, {"contained", &fn.contained}}) {
-      auto value = number(*fn_el, key);
-      if (!value.ok()) return value.error();
-      *target = value.value();
-    }
-    if (Status errors = read_errors(*fn_el, fn.errno_counts); !errors.ok()) return errors.error();
-    report.functions.push_back(std::move(fn));
-  }
-  if (const xml::Node* global = node.child("errors")) {
-    if (Status errors = read_errors(*global, report.global_errnos); !errors.ok()) {
-      return errors.error();
-    }
-  }
-  return report;
+  return xml::read<ProfileReport>(node, "profile");
 }
 
 std::string render(const ProfileReport& report) {

@@ -1,6 +1,7 @@
 #include "server/protocol.hpp"
 
 #include "fleet/wire.hpp"
+#include "xml/archive.hpp"
 
 namespace healers::server {
 namespace {
@@ -31,6 +32,35 @@ constexpr auto kSchema = [](auto& ar, auto& doc) { fields(ar, doc); };
 
 }  // namespace
 
+// The XML twins: <derive-request> and <derive-response>. Their attribute
+// order is not the binary field order, and a derive request writes its
+// bundle kind only when it has one.
+template <class Ar>
+void xml_fields(Ar& ar, DeriveRequest& request) {
+  ar.attr("endpoint", xml::Named{request.endpoint, Endpoint::kBundle});
+  ar.required("soname", request.soname);
+  ar.check(!request.soname.empty(), "soname");
+  ar.attr("seed", request.seed);
+  ar.attr("variants", request.variants);
+  ar.attr("budget", request.probe_step_budget);
+  ar.attr("heap", request.testbed_heap);
+  ar.attr("stack", request.testbed_stack);
+  ar.attr_if(request.endpoint == Endpoint::kBundle, "bundle",
+             xml::Named{request.bundle, BundleKind::kRepair});
+  ar.attr("format", xml::Named{request.format, WireFormat::kBinary});
+}
+
+template <class Ar>
+void xml_fields(Ar& ar, DeriveResponse& response) {
+  ar.attr("status", xml::Named{response.status, ResponseStatus::kShed});
+  ar.attr("probes", response.probes);
+  ar.text_if(!response.error.empty(), "error", response.error);
+  // NOTE: the XML parser trims character data, so an XML envelope normalizes
+  // leading/trailing payload whitespace on decode. The binary envelope is
+  // byte-exact; binary campaign payloads always travel in binary envelopes.
+  ar.text_if(!response.payload.empty(), "payload", response.payload);
+}
+
 std::string_view to_string(Endpoint endpoint) noexcept {
   return endpoint == Endpoint::kDerive ? "derive" : "bundle";
 }
@@ -43,6 +73,10 @@ std::string_view to_string(BundleKind kind) noexcept {
     case BundleKind::kRepair: return "repair";
   }
   return "?";
+}
+
+std::string_view to_string(WireFormat format) noexcept {
+  return format == WireFormat::kXml ? "xml" : "binary";
 }
 
 std::string_view to_string(ResponseStatus status) noexcept {
@@ -77,62 +111,10 @@ std::string DeriveRequest::canonical_key() const {
   return fleet::codec::encode("", *this, kSchema);
 }
 
-xml::Node DeriveRequest::to_xml() const {
-  xml::Node node("derive-request");
-  node.set_attr("endpoint", std::string(to_string(endpoint)));
-  node.set_attr("soname", soname);
-  node.set_attr("seed", std::to_string(seed));
-  node.set_attr("variants", std::to_string(variants));
-  node.set_attr("budget", std::to_string(probe_step_budget));
-  node.set_attr("heap", std::to_string(testbed_heap));
-  node.set_attr("stack", std::to_string(testbed_stack));
-  if (endpoint == Endpoint::kBundle) node.set_attr("bundle", std::string(to_string(bundle)));
-  node.set_attr("format", format == WireFormat::kBinary ? "binary" : "xml");
-  return node;
-}
+xml::Node DeriveRequest::to_xml() const { return xml::write("derive-request", *this); }
 
 Result<DeriveRequest> DeriveRequest::from_xml(const xml::Node& node) {
-  if (node.name() != "derive-request") return Error("expected <derive-request>");
-  DeriveRequest request;
-  const std::string* endpoint = node.attr("endpoint");
-  if (endpoint == nullptr || *endpoint == "derive") {
-    request.endpoint = Endpoint::kDerive;
-  } else if (*endpoint == "bundle") {
-    request.endpoint = Endpoint::kBundle;
-  } else {
-    return Error("<derive-request> unknown endpoint " + *endpoint);
-  }
-  const std::string* soname = node.attr("soname");
-  if (soname == nullptr || soname->empty()) return Error("<derive-request> missing soname");
-  request.soname = *soname;
-  request.seed = static_cast<std::uint64_t>(node.attr_int("seed", 42));
-  request.variants = static_cast<int>(node.attr_int("variants", 2));
-  request.probe_step_budget = static_cast<std::uint64_t>(node.attr_int("budget", 2'000'000));
-  request.testbed_heap = static_cast<std::uint64_t>(node.attr_int("heap", 256 << 10));
-  request.testbed_stack = static_cast<std::uint64_t>(node.attr_int("stack", 64 << 10));
-  if (const std::string* bundle = node.attr("bundle")) {
-    if (*bundle == "robustness") {
-      request.bundle = BundleKind::kRobustness;
-    } else if (*bundle == "security") {
-      request.bundle = BundleKind::kSecurity;
-    } else if (*bundle == "profiling") {
-      request.bundle = BundleKind::kProfiling;
-    } else if (*bundle == "repair") {
-      request.bundle = BundleKind::kRepair;
-    } else {
-      return Error("<derive-request> unknown bundle " + *bundle);
-    }
-  }
-  if (const std::string* format = node.attr("format")) {
-    if (*format == "xml") {
-      request.format = WireFormat::kXml;
-    } else if (*format == "binary") {
-      request.format = WireFormat::kBinary;
-    } else {
-      return Error("<derive-request> unknown format " + *format);
-    }
-  }
-  return request;
+  return xml::read<DeriveRequest>(node, "derive-request");
 }
 
 std::string DeriveRequest::encode() const {
@@ -154,35 +136,10 @@ Result<DeriveRequest> DeriveRequest::decode(std::string_view payload) {
   return request;
 }
 
-xml::Node DeriveResponse::to_xml() const {
-  xml::Node node("derive-response");
-  node.set_attr("status", std::string(to_string(status)));
-  node.set_attr("probes", std::to_string(probes));
-  if (!error.empty()) node.add_text_child("error", error);
-  // NOTE: the XML parser trims character data, so an XML envelope normalizes
-  // leading/trailing payload whitespace on decode. The binary envelope is
-  // byte-exact; binary campaign payloads always travel in binary envelopes.
-  if (!payload.empty()) node.add_text_child("payload", payload);
-  return node;
-}
+xml::Node DeriveResponse::to_xml() const { return xml::write("derive-response", *this); }
 
 Result<DeriveResponse> DeriveResponse::from_xml(const xml::Node& node) {
-  if (node.name() != "derive-response") return Error("expected <derive-response>");
-  DeriveResponse response;
-  const std::string* status = node.attr("status");
-  if (status == nullptr || *status == "ok") {
-    response.status = ResponseStatus::kOk;
-  } else if (*status == "error") {
-    response.status = ResponseStatus::kError;
-  } else if (*status == "shed") {
-    response.status = ResponseStatus::kShed;
-  } else {
-    return Error("<derive-response> unknown status " + *status);
-  }
-  response.probes = static_cast<std::uint64_t>(node.attr_int("probes", 0));
-  if (const xml::Node* error = node.child("error")) response.error = error->text();
-  if (const xml::Node* payload = node.child("payload")) response.payload = payload->text();
-  return response;
+  return xml::read<DeriveResponse>(node, "derive-response");
 }
 
 std::string DeriveResponse::encode(WireFormat format) const {

@@ -65,6 +65,7 @@ enum class ResponseStatus : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(Endpoint endpoint) noexcept;
 [[nodiscard]] std::string_view to_string(BundleKind kind) noexcept;
+[[nodiscard]] std::string_view to_string(WireFormat format) noexcept;
 [[nodiscard]] std::string_view to_string(ResponseStatus status) noexcept;
 
 struct DeriveRequest {

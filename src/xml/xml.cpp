@@ -1,7 +1,6 @@
 #include "xml/xml.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <sstream>
 
 namespace healers::xml {
@@ -58,37 +57,6 @@ Node& Node::add_text_child(std::string name, std::string text) {
   Node& c = add_child(std::move(name));
   c.set_text(std::move(text));
   return c;
-}
-
-long long Node::attr_int(std::string_view key, long long fallback) const noexcept {
-  const std::string* raw = attr(key);
-  if (raw == nullptr) return fallback;
-  long long value = 0;
-  const auto [ptr, ec] = std::from_chars(raw->data(), raw->data() + raw->size(), value);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size()) return fallback;
-  return value;
-}
-
-Result<std::uint64_t> Node::attr_uint(std::string_view key, std::optional<std::uint64_t> fallback,
-                                      bool hex) const {
-  const std::string* raw = attr(key);
-  if (raw == nullptr) {
-    if (fallback.has_value()) return *fallback;
-    return Error("missing attribute " + std::string(key));
-  }
-  std::string_view digits = *raw;
-  int base = 10;
-  if (hex && digits.size() > 2 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')) {
-    digits.remove_prefix(2);
-    base = 16;
-  }
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), value, base);
-  if (ec != std::errc{} || ptr != digits.data() + digits.size()) {
-    return Error("malformed " + std::string(key));
-  }
-  return value;
 }
 
 std::string escape(std::string_view raw) {
@@ -167,7 +135,7 @@ class Parser {
 
   Result<Node> run() {
     skip_prolog();
-    auto root = parse_element();
+    auto root = parse_element(1);
     if (!root.ok()) return root;
     skip_ws_and_comments();
     if (pos_ != doc_.size()) {
@@ -269,9 +237,12 @@ class Parser {
     return value;
   }
 
-  Result<Node> parse_element() {
+  Result<Node> parse_element(int depth) {
     skip_ws_and_comments();
     if (peek() != '<') return Error(where() + ": expected '<'");
+    if (depth > kMaxDepth) {
+      return Error(where() + ": elements nested deeper than " + std::to_string(kMaxDepth));
+    }
     take();
     const std::string name = parse_name();
     if (name.empty()) return Error(where() + ": expected element name");
@@ -318,7 +289,7 @@ class Parser {
           node.set_text(trim(text));
           return node;
         }
-        auto child = parse_element();
+        auto child = parse_element(depth + 1);
         if (!child.ok()) return child;
         node.add_child(std::move(child).take());
       } else if (peek() == '&') {

@@ -1,20 +1,20 @@
 // Minimal self-describing XML infrastructure.
 //
-// HEALERS exchanges three document kinds as XML (paper §2.3, §3.1, §3.3):
-//   * library declaration files (function prototypes, §3.1),
-//   * robust-API specifications derived by fault injection (§2.2),
-//   * profiling logs shipped to the central collector server (§2.3, Fig 5).
+// HEALERS exchanges its documents as XML (paper §2.2, §2.3, §3.1, §3.3):
+// library declaration files (§3.1); robust-API campaigns and repair policies
+// derived by fault injection (§2.2); profiles, crash dossiers and surface
+// profiles shipped to the central collector (§2.3, Fig 5); and derivation
+// service requests and responses.
 //
 // The documents are self-describing: the collector extracts which functions
 // were wrapped and what was collected purely from the document structure.
 // This module provides an ordered element tree, a serializer, and a strict
 // recursive-descent parser for the subset HEALERS emits (elements,
-// attributes, character data, comments).
+// attributes, character data, comments). Documents that are read back are
+// described once each and written and read through xml/archive.hpp.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -56,18 +56,6 @@ class Node {
   // Convenience: add <name>text</name> child.
   Node& add_text_child(std::string name, std::string text);
 
-  // Lenient attribute lookup that parses as integer; returns fallback when
-  // missing or malformed.
-  [[nodiscard]] long long attr_int(std::string_view key, long long fallback) const noexcept;
-
-  // Strict unsigned attribute: the whole value is decimal digits (or, with
-  // `hex`, also "0x" and hex digits) that fit in 64 bits; no sign, no
-  // spaces. A missing attribute yields `fallback`, or the error "missing
-  // attribute <key>" without one; any other value is "malformed <key>".
-  [[nodiscard]] Result<std::uint64_t> attr_uint(std::string_view key,
-                                                std::optional<std::uint64_t> fallback = {},
-                                                bool hex = false) const;
-
  private:
   std::string name_;
   std::vector<std::pair<std::string, std::string>> attrs_;
@@ -83,8 +71,13 @@ class Node {
 // Escapes &, <, >, ", ' for use in character data / attribute values.
 [[nodiscard]] std::string escape(std::string_view raw);
 
+// Deepest element nesting parse() accepts. HEALERS documents nest at most
+// five deep; the cap bounds the parser's recursion on hostile input.
+inline constexpr int kMaxDepth = 64;
+
 // Strict parser for the HEALERS subset. Rejects mismatched tags, unterminated
-// documents, and bad entities with a position-annotated error.
+// documents, bad entities, and nesting beyond kMaxDepth with a
+// position-annotated error.
 [[nodiscard]] Result<Node> parse(std::string_view document);
 
 }  // namespace healers::xml

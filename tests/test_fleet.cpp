@@ -313,6 +313,16 @@ TEST(FleetCollectorTest, MalformedDocumentsAreCountedNotAggregated) {
       {R"(<surface-profile exported="-1" reachable="0" touched="0" trapped="0" )"
        R"(resident_pages="0" total_pages="0"><reachable/><touched/><trapped/></surface-profile>)",
        "surface-profile: malformed exported"},
+      {R"(<dossier detector="heap-smash" seq="0" tick="0" cycles="0" fault_addr="0x0"><heap>)"
+       R"(<chunk header="0x0" user="0x0" size="0" in_use="yes"/></heap></dossier>)",
+       "dossier: malformed in_use"},  // a bool is "1" or "0"
+      // 1 MiB of nested elements: an error, not a stack overflow at flush().
+      {[] {
+         std::string bomb;
+         while (bomb.size() < (1u << 20)) bomb += "<profile>";
+         return bomb;
+       }(),
+       "xml document: line 1:577: elements nested deeper than 64"},
   };
   FleetCollector collector;
   for (const auto& [doc, error] : bad) {

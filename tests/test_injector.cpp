@@ -193,6 +193,27 @@ TEST_F(InjectorFixture, FromXmlRejectsWrongDocuments) {
   EXPECT_FALSE(RobustSpec::from_xml(xml::parse("<other/>").value()).ok());
   EXPECT_FALSE(RobustSpec::from_xml(xml::parse("<robust-spec/>").value()).ok());
   EXPECT_FALSE(CampaignResult::from_xml(xml::parse("<nope/>").value()).ok());
+  // Numbers, class names and check flags are strict: none of these reads as
+  // a wrapped, truncated or defaulted value.
+  const std::pair<const char*, const char*> bad[] = {
+      {R"(<campaign seed="-1"/>)", "campaign: malformed seed"},
+      {R"(<campaign><robust-spec function="f" probes="abc"/></campaign>)",
+       "campaign: malformed probes"},
+      {R"(<campaign><robust-spec function="f"><arg index="1"><verdict type="null" )"
+       R"(probes="4294967297"/></arg></robust-spec></campaign>)",
+       "campaign: malformed probes"},
+      {R"(<campaign><robust-spec function="f"><arg index="1" class="bogus"/></robust-spec>)"
+       R"(</campaign>)",
+       "campaign: unknown class 'bogus'"},
+      {R"(<campaign><robust-spec function="f"><arg index="1"><checks nonnull="7"/></arg>)"
+       R"(</robust-spec></campaign>)",
+       "campaign: malformed nonnull"},
+  };
+  for (const auto& [doc, error] : bad) {
+    const auto result = CampaignResult::from_xml(xml::parse(doc).value());
+    ASSERT_FALSE(result.ok()) << doc;
+    EXPECT_EQ(result.error().message, error) << doc;
+  }
 }
 
 TEST(DeriveChecks, PointerRulesFollowVerdicts) {

@@ -72,7 +72,7 @@ TEST_F(ProfileFixture, XmlDocumentIsSelfDescribing) {
   for (const xml::Node* fn : doc.children_named("function")) {
     if (*fn->attr("name") == "strlen") {
       found_strlen = true;
-      EXPECT_EQ(fn->attr_int("calls", 0), 10);
+      EXPECT_EQ(*fn->attr("calls"), "10");
     }
   }
   EXPECT_TRUE(found_strlen);

@@ -183,6 +183,26 @@ TEST(RepairPolicyDerivation, PolicyXmlRoundTrips) {
   EXPECT_EQ(text, xml::serialize(back.value().to_xml()));
 }
 
+TEST(RepairPolicyDerivation, PolicyXmlReaderIsStrict) {
+  const std::pair<const char*, const char*> bad[] = {
+      {R"(<repair-policy seed="-1"/>)", "repair-policy: malformed seed"},
+      {R"(<repair-policy><function name="f"><rule arg="x" action="safe-return"/></function>)"
+       R"(</repair-policy>)",
+       "repair-policy: malformed arg"},
+      {R"(<repair-policy><function name="f"><rule arg="1" action="safe-return" append="yes"/>)"
+       R"(</function></repair-policy>)",
+       "repair-policy: malformed append"},
+      {R"(<repair-policy><function name="f"><rule arg="1" action="bogus"/></function>)"
+       R"(</repair-policy>)",
+       "repair-policy: unknown action 'bogus'"},
+  };
+  for (const auto& [doc, error] : bad) {
+    const auto policy = gen::RepairPolicy::from_xml(xml::parse(doc).value());
+    ASSERT_FALSE(policy.ok()) << doc;
+    EXPECT_EQ(policy.error().message, error) << doc;
+  }
+}
+
 TEST(RepairPolicyDerivation, DerivationLeavesCampaignDocumentUntouched) {
   const injector::CampaignResult& campaign = campaign_c();
   const std::string before = xml::serialize(campaign.to_xml());

@@ -259,6 +259,23 @@ TEST(ServerProtocol, ResponseRoundTripsAndDecoderIsStrict) {
   EXPECT_FALSE(DeriveResponse::decode(std::string(kResponseMagic)).ok());
   const std::string binary = response.encode(WireFormat::kBinary);
   EXPECT_FALSE(DeriveResponse::decode(binary.substr(0, binary.size() - 2)).ok());
+
+  // 1 MiB of nested elements is an error, not a stack overflow.
+  std::string bomb;
+  while (bomb.size() < (1u << 20)) bomb += "<derive-request>";
+  EXPECT_FALSE(DeriveRequest::decode(bomb).ok());
+
+  // XML numbers are strict: no wrapped seed, no defaulted variants or probes.
+  EXPECT_EQ(DeriveRequest::decode(R"(<derive-request soname="libsimm.so.1" seed="-1"/>)")
+                .error()
+                .message,
+            "derive-request: malformed seed");
+  EXPECT_EQ(DeriveRequest::decode(R"(<derive-request soname="libsimm.so.1" variants="x"/>)")
+                .error()
+                .message,
+            "derive-request: malformed variants");
+  EXPECT_EQ(DeriveResponse::decode(R"(<derive-response probes="abc"/>)").error().message,
+            "derive-response: malformed probes");
 }
 
 TEST(ServerProtocol, BinaryResponseStatusReadsOnlyTheStatus) {

@@ -89,5 +89,23 @@ TEST(XmlGoldens, MutantVerdictsMatchTheRecordedOnes) {
   expect_recorded(actual, "xml_verdicts.txt");
 }
 
+// The re-encode property: whatever a reader accepts, it writes back as a
+// document that reads again to the same bytes.
+TEST(XmlGoldens, AcceptedMutantsReencodeToAFixedPoint) {
+  for (const Golden& golden : xml_fixture_goldens()) {
+    const XmlRoundTrip round_trip = xml_root_of(golden.name).round_trip;
+    for_each_xml_mutant(golden, [&](const std::string& path,
+                                    const std::vector<std::string>& mutants) {
+      for (const std::string& mutant : mutants) {
+        const std::optional<std::string> once = round_trip(mutant);
+        if (!once) continue;
+        const std::optional<std::string> twice = round_trip(*once);
+        ASSERT_TRUE(twice.has_value()) << golden.name << ' ' << path << '\n' << *once;
+        EXPECT_EQ(*twice, *once) << golden.name << ' ' << path;
+      }
+    });
+  }
+}
+
 }  // namespace
 }  // namespace healers::wiretest

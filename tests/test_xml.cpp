@@ -1,7 +1,12 @@
 // Unit tests for the XML infrastructure: node operations, escaping,
-// serialization shape, strict parsing, and serialize/parse round trips.
+// serialization shape, strict parsing, serialize/parse round trips, and the
+// document archives of xml/archive.hpp.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "xml/archive.hpp"
 #include "xml/xml.hpp"
 
 namespace healers::xml {
@@ -24,35 +29,6 @@ TEST(XmlNode, AttrLookupReturnsNullWhenMissing) {
   node.set_attr("k", "v");
   ASSERT_NE(node.attr("k"), nullptr);
   EXPECT_EQ(*node.attr("k"), "v");
-}
-
-TEST(XmlNode, AttrIntParsesAndFallsBack) {
-  Node node("n");
-  node.set_attr("good", "42");
-  node.set_attr("neg", "-7");
-  node.set_attr("bad", "4x2");
-  EXPECT_EQ(node.attr_int("good", 0), 42);
-  EXPECT_EQ(node.attr_int("neg", 0), -7);
-  EXPECT_EQ(node.attr_int("bad", 5), 5);
-  EXPECT_EQ(node.attr_int("missing", 9), 9);
-}
-
-TEST(XmlNode, AttrUintIsStrict) {
-  Node node("n");
-  node.set_attr("dec", "18446744073709551615");
-  node.set_attr("hex", "0x1F");
-  for (const char* bad : {"-5", "+5", " 5", "5 ", "abc", "", "18446744073709551616", "0x"}) {
-    node.set_attr("bad", bad);
-    const auto value = node.attr_uint("bad", 0, /*hex=*/true);
-    ASSERT_FALSE(value.ok()) << bad;
-    EXPECT_EQ(value.error().message, "malformed bad") << bad;
-  }
-  EXPECT_EQ(node.attr_uint("dec").value(), 18446744073709551615ULL);
-  EXPECT_EQ(node.attr_uint("hex", std::nullopt, /*hex=*/true).value(), 31u);
-  EXPECT_FALSE(node.attr_uint("hex").ok());  // hex only when asked for
-  EXPECT_EQ(node.attr_uint("missing", 9).value(), 9u);
-  ASSERT_FALSE(node.attr_uint("missing").ok());
-  EXPECT_EQ(node.attr_uint("missing").error().message, "missing attribute missing");
 }
 
 TEST(XmlNode, ChildLookupByName) {
@@ -99,7 +75,7 @@ TEST(XmlParse, SimpleDocument) {
   auto result = parse("<root a=\"1\"><child>text</child></root>");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().name(), "root");
-  EXPECT_EQ(result.value().attr_int("a", 0), 1);
+  EXPECT_EQ(*result.value().attr("a"), "1");
   ASSERT_NE(result.value().child("child"), nullptr);
   EXPECT_EQ(result.value().child("child")->text(), "text");
 }
@@ -181,12 +157,147 @@ TEST(XmlRoundTrip, DeepNesting) {
   EXPECT_EQ(walk->text(), "bottom");
 }
 
+TEST(XmlParse, RejectsNestingBeyondTheDepthCap) {
+  std::string deep;
+  for (int i = 0; i < kMaxDepth; ++i) deep += "<a>";
+  for (int i = 0; i < kMaxDepth; ++i) deep += "</a>";
+  EXPECT_TRUE(parse(deep).ok());
+  const auto too_deep = parse("<a>" + deep + "</a>");
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.error().message, "line 1:193: elements nested deeper than 64");
+  // 1 MiB of open tags: an error, not one stack frame per element.
+  std::string bomb;
+  while (bomb.size() < (1u << 20)) bomb += "<a>";
+  EXPECT_FALSE(parse(bomb).ok());
+}
+
 TEST(XmlResult, BadAccessThrows) {
   Result<Node> bad = Error("nope");
   EXPECT_FALSE(bad.ok());
   EXPECT_THROW((void)bad.value(), BadResultAccess);
   Result<Node> good = Node("n");
   EXPECT_THROW((void)good.error(), BadResultAccess);
+}
+
+// --- archives ----------------------------------------------------------------
+
+enum class Color : std::uint8_t { kRed, kGreen };
+std::string_view to_string(Color color) { return color == Color::kRed ? "red" : "green"; }
+
+struct Sample {
+  std::string name;
+  std::uint64_t count = 7;
+  std::uint8_t small = 0;
+  std::int64_t delta = 0;
+  std::uint64_t addr = 0;
+  bool on = false;
+  Color color = Color::kRed;
+  std::string note;
+  std::vector<std::string> tags;
+  std::map<int, std::uint64_t> tallies;
+};
+
+template <class Ar>
+void xml_fields(Ar& ar, Sample& sample) {
+  ar.required("name", sample.name);
+  ar.attr("count", sample.count);
+  ar.attr("small", sample.small);
+  ar.attr("delta", sample.delta);
+  ar.attr("addr", Hex{sample.addr});
+  ar.attr_if(sample.on, "on", sample.on);
+  ar.attr("color", Named{sample.color, Color::kGreen});
+  ar.derived("tag-count", [&] { return std::to_string(sample.tags.size()); });
+  ar.text("note", sample.note);
+  ar.required_child("tags", [&](auto& ar) {
+    ar.each("tag", sample.tags, [](auto& ar, std::string& tag) { ar.required("name", tag); });
+  });
+  ar.each("tally", sample.tallies, [](auto& ar, int& key, std::uint64_t& n) {
+    ar.attr("key", key);
+    ar.attr("n", n);
+  });
+}
+
+Result<Sample> read_sample(std::string_view text) {
+  auto parsed = parse(text);
+  if (!parsed.ok()) return parsed.error();
+  return read<Sample>(parsed.value(), "sample");
+}
+
+// The sample document with one attribute of the root replaced.
+std::string sample_with(const std::string& key, const std::string& value) {
+  Sample sample;
+  sample.name = "s";
+  Node root = write("sample", sample);
+  root.set_attr(key, value);
+  return serialize(root);
+}
+
+TEST(XmlArchive, WritesInDescriptionOrderAndReadsBack) {
+  Sample sample{.name = "s", .count = 3, .small = 255, .delta = -9, .addr = 0x1f,
+                .on = true, .color = Color::kGreen, .note = "n", .tags = {"a", "b"},
+                .tallies = {{22, 4}}};
+  const std::string doc = serialize(write("sample", sample));
+  EXPECT_EQ(doc,
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+            "<sample name=\"s\" count=\"3\" small=\"255\" delta=\"-9\" addr=\"0x1f\" on=\"1\" "
+            "color=\"green\" tag-count=\"2\">\n"
+            "  <note>n</note>\n"
+            "  <tags>\n    <tag name=\"a\"/>\n    <tag name=\"b\"/>\n  </tags>\n"
+            "  <tally key=\"22\" n=\"4\"/>\n"
+            "</sample>\n");
+  const auto back = read_sample(doc);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(serialize(write("sample", back.value())), doc);
+}
+
+TEST(XmlArchive, AbsentAttributesKeepDefaultsAndRequiredOnesAreErrors) {
+  const auto minimal = read_sample(R"(<sample name="s"><tags/></sample>)");
+  ASSERT_TRUE(minimal.ok()) << minimal.error().message;
+  EXPECT_EQ(minimal.value().count, 7u);
+  EXPECT_FALSE(minimal.value().on);
+  EXPECT_EQ(minimal.value().color, Color::kRed);
+  EXPECT_EQ(read_sample("<sample><tags/></sample>").error().message, "<sample> missing name");
+  EXPECT_EQ(read_sample(R"(<sample name="s"/>)").error().message, "<sample> missing <tags>");
+  EXPECT_EQ(read_sample(R"(<sample name="s"><tags><tag/></tags></sample>)").error().message,
+            "<tag> missing name");
+  EXPECT_EQ(read_sample("<other/>").error().message, "expected <sample>");
+}
+
+TEST(XmlArchive, NumbersAreWholeDigitsInTheFieldsRange) {
+  for (const char* bad : {"-5", "+5", " 5", "5 ", "abc", "", "18446744073709551616", "0x10"}) {
+    const auto value = read_sample(sample_with("count", bad));
+    ASSERT_FALSE(value.ok()) << bad;
+    EXPECT_EQ(value.error().message, "sample: malformed count") << bad;
+  }
+  EXPECT_EQ(read_sample(sample_with("count", "18446744073709551615")).value().count,
+            18446744073709551615ULL);
+  EXPECT_FALSE(read_sample(sample_with("small", "256")).ok());
+  EXPECT_EQ(read_sample(sample_with("delta", "-9223372036854775808")).value().delta,
+            INT64_MIN);
+  EXPECT_FALSE(read_sample(sample_with("delta", "+1")).ok());
+}
+
+TEST(XmlArchive, HexNamesAndBoolsAreStrict) {
+  EXPECT_EQ(read_sample(sample_with("addr", "0x1F")).value().addr, 31u);
+  EXPECT_EQ(read_sample(sample_with("addr", "31")).value().addr, 31u);
+  for (const char* bad : {"0x", "0x-1", "-0x1", "0x1g"}) {
+    EXPECT_EQ(read_sample(sample_with("addr", bad)).error().message, "sample: malformed addr")
+        << bad;
+  }
+  EXPECT_EQ(read_sample(sample_with("color", "blue")).error().message,
+            "sample: unknown color 'blue'");
+  EXPECT_TRUE(read_sample(sample_with("on", "1")).value().on);
+  EXPECT_FALSE(read_sample(sample_with("on", "0")).value().on);
+  for (const char* bad : {"yes", "7", "", "-1"}) {
+    EXPECT_EQ(read_sample(sample_with("on", bad)).error().message, "sample: malformed on") << bad;
+  }
+}
+
+TEST(XmlArchive, RepeatedMapKeysSum) {
+  const auto sample = read_sample(
+      R"(<sample name="s"><tags/><tally key="22" n="4"/><tally key="22" n="1"/></sample>)");
+  ASSERT_TRUE(sample.ok()) << sample.error().message;
+  EXPECT_EQ(sample.value().tallies.at(22), 5u);
 }
 
 }  // namespace

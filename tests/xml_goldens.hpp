@@ -9,8 +9,9 @@
 // fixture tests/fixtures/xml_goldens.txt records the documents, and
 // tests/fixtures/xml_verdicts.txt records how the readers judged a
 // structural mutant corpus built from them (xml_mutant_verdicts below).
-// Both fixtures were written once from the hand-written XML readers and
-// writers these documents started with.
+// Both fixtures were first written from the hand-written XML readers and
+// writers these documents started with. The golden text must never move;
+// a verdict moves only where a reader was deliberately made stricter.
 #pragma once
 
 #include <cstdio>
