@@ -72,7 +72,7 @@ class Node {
 [[nodiscard]] std::string escape(std::string_view raw);
 
 // Deepest element nesting parse() accepts. HEALERS documents nest at most
-// five deep; the cap bounds the parser's recursion on hostile input.
+// four deep; the cap bounds the parser's recursion on hostile input.
 inline constexpr int kMaxDepth = 64;
 
 // Strict parser for the HEALERS subset. Rejects mismatched tags, unterminated

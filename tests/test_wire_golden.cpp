@@ -4,9 +4,9 @@
 // itself, and every decoder must judge its seeded mutant corpus (binary:
 // truncations, bit flips, inflated counts; XML: deleted, duplicated and
 // renamed elements, deleted and garbled attributes) exactly as the
-// checked-in verdicts record. On a mismatch the fresh verdicts are written
-// to wire_verdicts.actual / xml_verdicts.actual in the working directory for
-// diffing.
+// checked-in verdicts record. On a mismatch the fresh fixture text is
+// written to the working directory (wire_verdicts.actual, xml_goldens.actual,
+// xml_verdicts.actual) for diffing.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -41,9 +41,9 @@ TEST(WireGoldens, EveryGoldenRoundTripsToItself) {
   }
 }
 
-// Compares freshly computed verdicts with a checked-in verdict fixture,
-// naming the first differing line; a mismatch also leaves the fresh
-// verdicts in `<fixture stem>.actual`.
+// Compares fresh output with a checked-in fixture, naming the first
+// differing line; a mismatch also leaves the fresh output in
+// `<fixture stem>.actual`.
 void expect_recorded(const std::string& actual, const std::string& fixture) {
   const std::string expected = read_fixture(fixture);
   if (actual == expected) return;
@@ -55,11 +55,11 @@ void expect_recorded(const std::string& actual, const std::string& fixture) {
   while (std::getline(want, want_line)) {
     std::getline(got, got_line);
     if (want_line != got_line) {
-      FAIL() << "first differing verdict line:\n  recorded: " << want_line.substr(0, 200)
-             << "\n  actual:   " << got_line.substr(0, 200);
+      FAIL() << "first differing line of " << fixture << ":\n  recorded: "
+             << want_line.substr(0, 200) << "\n  actual:   " << got_line.substr(0, 200);
     }
   }
-  FAIL() << "verdict corpus differs in length (see the .actual file)";
+  FAIL() << fixture << " differs in length (see the .actual file)";
 }
 
 TEST(WireGoldens, MutantVerdictsMatchTheRecordedOnes) {
@@ -74,13 +74,7 @@ const std::vector<Golden>& xml_fixture_goldens() {
 }
 
 TEST(XmlGoldens, FixedInputsWriteTheGoldenDocuments) {
-  const std::vector<Golden> built = build_xml_goldens();
-  expect_recorded(write_xml_goldens(built), "xml_goldens.txt");
-  ASSERT_EQ(built.size(), xml_fixture_goldens().size());
-  for (std::size_t i = 0; i < built.size(); ++i) {
-    EXPECT_EQ(built[i].name, xml_fixture_goldens()[i].name);
-    EXPECT_EQ(built[i].bytes, xml_fixture_goldens()[i].bytes) << built[i].name;
-  }
+  expect_recorded(write_xml_goldens(build_xml_goldens()), "xml_goldens.txt");
 }
 
 TEST(XmlGoldens, MutantVerdictsMatchTheRecordedOnes) {

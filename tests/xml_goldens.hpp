@@ -268,11 +268,14 @@ inline void for_each_xml_mutant(
 inline std::string xml_mutant_verdicts(const Golden& golden) {
   const XmlRoundTrip round_trip = xml_root_of(golden.name).round_trip;
   std::ostringstream out;
-  for_each_xml_mutant(golden, [&](const std::string& path, const std::vector<std::string>& mutants) {
-    out << golden.name << ' ' << path;
-    for (const std::string& m : mutants) out << ' ' << verdict_token(round_trip(m));
-    out << '\n';
-  });
+  for_each_xml_mutant(golden,
+                      [&](const std::string& path, const std::vector<std::string>& mutants) {
+                        out << golden.name << ' ' << path;
+                        for (const std::string& m : mutants) {
+                          out << ' ' << verdict_token(round_trip(m));
+                        }
+                        out << '\n';
+                      });
   return out.str();
 }
 
