@@ -129,9 +129,9 @@ Status save_cache_file(const core::Toolkit& toolkit, const std::string& path) {
   }
   const std::string image = fleet::frame_stream(documents);
   std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::failure("cannot write " + path);
   out << image;
-  if (!out) return Status::failure("short write to " + path);
+  out.close();  // flushes: an image smaller than the buffer fails only here
+  if (!out) return Status::failure("cannot write " + path);
   return Status::success();
 }
 

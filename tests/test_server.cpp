@@ -195,6 +195,15 @@ TEST_F(ServerFixture, SurfaceScopesPersistThroughTheCacheFile) {
   std::remove(path.c_str());
 }
 
+// A failed write is reported even when the whole image fits the stream
+// buffer and fails only at the flush.
+TEST_F(ServerFixture, CacheFileWriteFailureIsReported) {
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status saved = save_cache_file(toolkit, "/dev/full");
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.error().message, "cannot write /dev/full");
+}
+
 // --- request/response protocol ----------------------------------------------
 
 TEST(ServerProtocol, RequestRoundTripsInBothFormats) {

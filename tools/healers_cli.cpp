@@ -1,23 +1,8 @@
 // The `healers` command-line driver — the scriptable face of the toolkit
 // (the paper drove the same operations through a web UI, Figs 4/5).
 //
-//   healers list-libs
-//   healers list-functions <soname>
-//   healers decls <soname> [-o decls.xml]
-//   healers derive <soname> [--seed N] [--variants N] [--jobs N] [-o campaign.xml]
-//   healers report <campaign.xml>
-//   healers gen-source <soname> --type profiling|robustness|security|testing
-//                      [--campaign campaign.xml] [-o wrapper.c]
-//   healers inspect demo-heap|demo-stack
-//   healers demo attacks
-//   healers fleet simulate [--hosts N] [--docs N] [--seed N] [--jobs N]
-//                          [--encoding xml|binary|mixed] -o fleet.docs
-//   healers fleet ingest <fleet.docs> [--shards N] [--jobs N] [--capacity N]
-//   healers fleet report <fleet.docs> [--shards N] [--jobs N]
-//   healers serve [--clients N] [--requests N] [--jobs N] [--shards N]
-//                 [--capacity N] [--cache-file F] [--encoding xml|binary]
-//   healers simulate [--hosts N] [--virtual-seconds N] [--seed N] [--jobs N]
-//                    [--traffic M] [--shards N] [--capacity N] [--stats]
+// `healers help` (print_usage below) lists every command and flag, and
+// docs/cli.md documents them.
 //
 // derive→(ship XML)→gen-source is the paper's offline pipeline: campaigns
 // run where the library lives; wrapper generation can happen anywhere the
@@ -30,11 +15,17 @@
 // probes.
 #include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "attacks/attacks.hpp"
@@ -146,8 +137,9 @@ int emit(const std::string& text, const std::string& out_path) {
     return 0;
   }
   std::ofstream out(out_path, std::ios::binary);
-  if (!out) return fail("cannot write " + out_path);
   out << text;
+  out.close();  // flushes: a full device fails here, not at the <<
+  if (!out) return fail("cannot write " + out_path);
   std::printf("wrote %zu bytes to %s\n", text.size(), out_path.c_str());
   return 0;
 }
@@ -166,120 +158,87 @@ struct Options {
   std::string type;
   std::string campaign_path;
   std::uint64_t seed = 2003;
-  int variants = 1;
-  int jobs = 1;
-  int hosts = 8;
-  int docs = 8;
-  int shards = 4;
-  int capacity = 4096;
-  int clients = 4;
-  int requests = 8;
+  unsigned variants = 1;
+  unsigned jobs = 1;
+  unsigned hosts = 8;
+  unsigned docs = 8;
+  unsigned shards = 4;
+  std::optional<unsigned> capacity;  // unset: 4096 for fleet and serve, the sim's own
+  unsigned clients = 4;
+  unsigned requests = 8;
   std::uint64_t virtual_seconds = 60;
   std::string traffic = "mixed";
-  bool capacity_set = false;
   std::string encoding = "mixed";
   std::string format = "text";
   std::string cache_file;
   std::string reset = "fork";
-  bool prune = true;
+  bool no_prune = false;
   bool stats = false;
   bool repair = false;
   bool validate = false;
   bool debloat = false;
 };
 
-// Parses a flag's whole value as a number in T's range.
+// The flags, by what follows them: a string, a number, or nothing.
+const std::map<std::string, std::string Options::*> kStringFlags = {
+    {"-o", &Options::out_path},              {"--type", &Options::type},
+    {"--campaign", &Options::campaign_path}, {"--traffic", &Options::traffic},
+    {"--cache-file", &Options::cache_file},  {"--encoding", &Options::encoding},
+    {"--format", &Options::format},          {"--reset", &Options::reset}};
+using NumberField = std::variant<std::uint64_t Options::*, unsigned Options::*,
+                                 std::optional<unsigned> Options::*>;
+const std::map<std::string, NumberField> kNumberFlags = {
+    {"--seed", &Options::seed},         {"--virtual-seconds", &Options::virtual_seconds},
+    {"--variants", &Options::variants}, {"--jobs", &Options::jobs},
+    {"--hosts", &Options::hosts},       {"--docs", &Options::docs},
+    {"--shards", &Options::shards},     {"--capacity", &Options::capacity},
+    {"--clients", &Options::clients},   {"--requests", &Options::requests}};
+const std::map<std::string, bool Options::*> kSwitches = {
+    {"--no-prune", &Options::no_prune}, {"--stats", &Options::stats},
+    {"--repair", &Options::repair},     {"--validate", &Options::validate},
+    {"--debloat", &Options::debloat}};
+
+// Parses a flag's whole value as a number in T's range. Counts (unsigned)
+// stop at INT_MAX: the engine knobs they feed are ints.
 template <class T>
-Status parse_number(const std::string& flag, const Result<std::string>& value, T& out) {
-  if (!value.ok()) return value.error();
-  const std::string& text = value.value();
+Status parse_number(const std::string& flag, const std::string& text, T& out) {
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, out);
-  if (error != std::errc() || stop != end) {
+  if (error != std::errc() || stop != end ||
+      (std::is_same_v<T, unsigned> && out > static_cast<T>(INT_MAX))) {
     return Error(flag + " expects a number, got '" + text + "'");
   }
   return Status::success();
+}
+
+template <class T>
+Status parse_number(const std::string& flag, const std::string& text, std::optional<T>& out) {
+  return parse_number(flag, text, out.emplace());
 }
 
 Result<Options> parse_options(int argc, char** argv) {
   Options options;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&i, argc, argv, &arg]() -> Result<std::string> {
-      if (i + 1 >= argc) return Error("missing value for " + arg);
-      return std::string(argv[++i]);
-    };
-    const auto number = [&arg, &next](auto& field) { return parse_number(arg, next(), field); };
-    if (arg == "-o") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.out_path = value.value();
-    } else if (arg == "--type") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.type = value.value();
-    } else if (arg == "--campaign") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.campaign_path = value.value();
-    } else if (arg == "--seed") {
-      if (Status status = number(options.seed); !status.ok()) return status.error();
-    } else if (arg == "--variants") {
-      if (Status status = number(options.variants); !status.ok()) return status.error();
-    } else if (arg == "--jobs") {
-      if (Status status = number(options.jobs); !status.ok()) return status.error();
-    } else if (arg == "--hosts") {
-      if (Status status = number(options.hosts); !status.ok()) return status.error();
-    } else if (arg == "--docs") {
-      if (Status status = number(options.docs); !status.ok()) return status.error();
-    } else if (arg == "--shards") {
-      if (Status status = number(options.shards); !status.ok()) return status.error();
-    } else if (arg == "--capacity") {
-      if (Status status = number(options.capacity); !status.ok()) return status.error();
-      options.capacity_set = true;
-    } else if (arg == "--virtual-seconds") {
-      if (Status status = number(options.virtual_seconds); !status.ok()) return status.error();
-    } else if (arg == "--traffic") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.traffic = value.value();
-    } else if (arg == "--clients") {
-      if (Status status = number(options.clients); !status.ok()) return status.error();
-    } else if (arg == "--requests") {
-      if (Status status = number(options.requests); !status.ok()) return status.error();
-    } else if (arg == "--cache-file") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.cache_file = value.value();
-    } else if (arg == "--encoding") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.encoding = value.value();
-    } else if (arg == "--format") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.format = value.value();
-    } else if (arg == "--reset") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.reset = value.value();
-      if (options.reset != "fork" && options.reset != "fresh") {
+    const auto string_flag = kStringFlags.find(arg);
+    const auto number_flag = kNumberFlags.find(arg);
+    if (const auto flag = kSwitches.find(arg); flag != kSwitches.end()) {
+      options.*flag->second = true;
+    } else if (string_flag == kStringFlags.end() && number_flag == kNumberFlags.end()) {
+      if (!arg.empty() && arg[0] == '-') return Error("unknown option " + arg);
+      options.positional.push_back(arg);
+    } else if (i + 1 >= argc) {
+      return Error("missing value for " + arg);
+    } else if (string_flag != kStringFlags.end()) {
+      options.*string_flag->second = argv[++i];
+      if (arg == "--reset" && options.reset != "fork" && options.reset != "fresh") {
         return Error("--reset must be fork or fresh");
       }
-    } else if (arg == "--no-prune") {
-      options.prune = false;
-    } else if (arg == "--stats") {
-      options.stats = true;
-    } else if (arg == "--repair") {
-      options.repair = true;
-    } else if (arg == "--validate") {
-      options.validate = true;
-    } else if (arg == "--debloat") {
-      options.debloat = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Error("unknown option " + arg);
-    } else {
-      options.positional.push_back(arg);
+    } else if (Status status = std::visit(
+                   [&](auto field) { return parse_number(arg, argv[++i], options.*field); },
+                   number_flag->second);
+               !status.ok()) {
+      return status.error();
     }
   }
   return options;
@@ -302,7 +261,6 @@ int cmd_list_libs(const core::Toolkit& toolkit) {
 }
 
 int cmd_list_functions(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
   const auto functions = toolkit.list_functions(options.positional[0]);
   if (!functions.ok()) return fail(functions.error().message);
   for (const std::string& name : functions.value()) std::printf("%s\n", name.c_str());
@@ -310,15 +268,16 @@ int cmd_list_functions(const core::Toolkit& toolkit, const Options& options) {
 }
 
 int cmd_decls(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
   const auto doc = toolkit.declaration_xml(options.positional[0]);
   if (!doc.ok()) return fail(doc.error().message);
   return emit(xml::serialize(doc.value()), options.out_path);
 }
 
-// Imports the persistent spec cache when the file exists; a missing file is
-// a cold start, not an error (the save after the run creates it).
-int load_spec_cache(const core::Toolkit& toolkit, const std::string& path, bool* loaded) {
+// Imports the persistent spec cache named by --cache-file when the file
+// exists; no flag or a missing file is a cold start, not an error (the save
+// after the run creates it).
+int load_spec_cache(const core::Toolkit& toolkit, const std::string& path) {
+  if (path.empty()) return 0;
   std::ifstream probe(path, std::ios::binary);
   if (!probe) return 0;
   std::size_t skipped_unknown = 0;
@@ -330,7 +289,19 @@ int load_spec_cache(const core::Toolkit& toolkit, const std::string& path, bool*
     std::fprintf(stderr, "spec cache: skipped %zu entry(ies) with unknown magic\n",
                  skipped_unknown);
   }
-  if (loaded != nullptr) *loaded = true;
+  return 0;
+}
+
+// Saves the spec cache to --cache-file, when one was given, and reports its
+// campaigns — or, after a debloat run, the surface scopes it installed.
+int save_spec_cache(const core::Toolkit& toolkit, const std::string& path,
+                    std::optional<std::size_t> scopes = std::nullopt) {
+  if (path.empty()) return 0;
+  const auto saved = server::save_cache_file(toolkit, path);
+  if (!saved.ok()) return fail(saved.error().message);
+  std::fprintf(stderr, "spec cache: saved %zu %s to %s\n",
+               scopes ? *scopes : toolkit.export_campaigns().size(),
+               scopes ? "surface scope(s)" : "campaign(s)", path.c_str());
   return 0;
 }
 
@@ -373,17 +344,34 @@ std::size_t install_demo_scopes(const core::Toolkit& toolkit) {
   return installed;
 }
 
-int cmd_derive(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
-  if (!options.cache_file.empty()) {
-    if (const int rc = load_spec_cache(toolkit, options.cache_file, nullptr); rc != 0) return rc;
+// Repair rules tallied by action: the census derive --repair and serve
+// --stats print on stderr.
+struct RuleCensus {
+  std::size_t rules = 0, truncate = 0, substitute = 0, safe_return = 0;
+
+  void add(const gen::RepairPolicy& policy) {
+    for (const gen::FunctionRepairPolicy& fn : policy.functions) {
+      for (const gen::RepairRule& rule : fn.rules) {
+        ++rules;
+        switch (rule.action) {
+          case simlib::RepairAction::kTruncateWrite: ++truncate; break;
+          case simlib::RepairAction::kSubstituteBounded:
+          case simlib::RepairAction::kSynthesizeInput: ++substitute; break;
+          case simlib::RepairAction::kSafeReturn: ++safe_return; break;
+        }
+      }
+    }
   }
+};
+
+int cmd_derive(const core::Toolkit& toolkit, const Options& options) {
+  if (const int rc = load_spec_cache(toolkit, options.cache_file); rc != 0) return rc;
   injector::InjectorConfig config;
   config.seed = options.seed;
   config.variants = options.variants;
   config.jobs = options.jobs;
   config.snapshot_reset = options.reset == "fork";
-  config.prune = options.prune;
+  config.prune = !options.no_prune;
   if (options.debloat) {
     // Scope the campaign to the symbols some executable's static closure can
     // reach. Scopes come from the cache file (HSSP1 entries) when present;
@@ -407,34 +395,20 @@ int cmd_derive(const core::Toolkit& toolkit, const Options& options) {
                static_cast<unsigned long long>(campaign.value().total_failures()),
                campaign.value().functions_with_failures(),
                static_cast<unsigned long long>(toolkit.probes_executed()));
-  if (!options.cache_file.empty()) {
-    const auto saved = server::save_cache_file(toolkit, options.cache_file);
-    if (!saved.ok()) return fail(saved.error().message);
-    std::fprintf(stderr, "spec cache: saved %zu campaign(s) to %s\n",
-                 toolkit.export_campaigns().size(), options.cache_file.c_str());
-  }
+  if (const int rc = save_spec_cache(toolkit, options.cache_file); rc != 0) return rc;
   xml::Node doc = campaign.value().to_xml();
   if (options.repair) {
     // The repair policy is a pure function of the campaign document, so it
     // rides along as a sibling node — the campaign bytes stay identical.
     const auto policy = toolkit.derive_repair_policy(options.positional[0], config);
     if (!policy.ok()) return fail(policy.error().message);
-    std::size_t truncate = 0, substitute = 0, safe_return = 0;
-    for (const gen::FunctionRepairPolicy& fn : policy.value().functions) {
-      for (const gen::RepairRule& rule : fn.rules) {
-        switch (rule.action) {
-          case simlib::RepairAction::kTruncateWrite: ++truncate; break;
-          case simlib::RepairAction::kSubstituteBounded:
-          case simlib::RepairAction::kSynthesizeInput: ++substitute; break;
-          case simlib::RepairAction::kSafeReturn: ++safe_return; break;
-        }
-      }
-    }
+    RuleCensus census;
+    census.add(policy.value());
     std::fprintf(stderr,
                  "repair: %zu rule(s) in %zu function(s): %zu truncate, %zu substitute, "
                  "%zu safe-return\n",
-                 policy.value().rule_count(), policy.value().functions.size(), truncate,
-                 substitute, safe_return);
+                 census.rules, policy.value().functions.size(), census.truncate,
+                 census.substitute, census.safe_return);
     doc.add_child(policy.value().to_xml());
   }
   if (options.stats) {
@@ -466,7 +440,6 @@ int cmd_derive(const core::Toolkit& toolkit, const Options& options) {
 }
 
 int cmd_report(const Options& options) {
-  if (options.positional.empty()) return usage();
   auto campaign = load_campaign(options.positional[0]);
   if (!campaign.ok()) return fail(campaign.error().message);
   std::fputs(campaign.value().to_table().c_str(), stdout);
@@ -474,64 +447,65 @@ int cmd_report(const Options& options) {
 }
 
 int cmd_gen_source(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty() || options.type.empty()) return usage();
+  if (options.type.empty()) return usage();
   const std::string& soname = options.positional[0];
 
   gen::WrapperBuilder builder(options.type + "-wrapper");
-  injector::CampaignResult campaign;
-  const injector::CampaignResult* campaign_ptr = nullptr;
+  // Robustness and repair wrappers are generated from a saved campaign.
+  std::optional<injector::CampaignResult> campaign;
+  if (options.type == "robustness" || options.type == "repair") {
+    if (options.campaign_path.empty()) {
+      return fail("gen-source --type " + options.type + " requires --campaign <file>");
+    }
+    auto loaded = load_campaign(options.campaign_path);
+    if (!loaded.ok()) return fail(loaded.error().message);
+    campaign = std::move(loaded).take();
+  }
+  // Every type but profiling: prototypes, the type's own generators, a call
+  // counter (except security), and the call through to the library.
   if (options.type == "profiling") {
     for (const auto& g : wrappers::fig3_generators()) builder.add(g);
-  } else if (options.type == "robustness") {
-    if (options.campaign_path.empty()) {
-      return fail("gen-source --type robustness requires --campaign <file>");
-    }
-    auto loaded = load_campaign(options.campaign_path);
-    if (!loaded.ok()) return fail(loaded.error().message);
-    campaign = std::move(loaded).take();
-    campaign_ptr = &campaign;
-    builder.add(gen::prototype_gen())
-        .add(wrappers::arg_check_gen())
-        .add(gen::call_counter_gen())
-        .add(gen::caller_gen());
-  } else if (options.type == "security") {
-    builder.add(gen::prototype_gen())
-        .add(wrappers::heap_canary_gen())
-        .add(wrappers::stack_guard_gen())
-        .add(gen::caller_gen());
-  } else if (options.type == "testing") {
-    builder.add(gen::prototype_gen())
-        .add(wrappers::error_injection_gen(0.1, options.seed))
-        .add(gen::call_counter_gen())
-        .add(gen::caller_gen());
-  } else if (options.type == "repair") {
-    if (options.campaign_path.empty()) {
-      return fail("gen-source --type repair requires --campaign <file>");
-    }
-    auto loaded = load_campaign(options.campaign_path);
-    if (!loaded.ok()) return fail(loaded.error().message);
-    campaign = std::move(loaded).take();
-    campaign_ptr = &campaign;
-    const simlib::SharedLibrary* lib = toolkit.library(soname);
-    if (lib == nullptr) return fail("no such library: " + soname);
-    auto policy = gen::derive_repair_policy(campaign, *lib);
-    if (!policy.ok()) return fail(policy.error().message);
-    builder.add(gen::prototype_gen())
-        .add(wrappers::repair_gen(
-            std::make_shared<const gen::RepairPolicy>(std::move(policy).take())))
-        .add(gen::call_counter_gen())
-        .add(gen::caller_gen());
   } else {
-    return fail("unknown wrapper type: " + options.type);
+    builder.add(gen::prototype_gen());
+    if (options.type == "robustness") {
+      builder.add(wrappers::arg_check_gen());
+    } else if (options.type == "security") {
+      builder.add(wrappers::heap_canary_gen()).add(wrappers::stack_guard_gen());
+    } else if (options.type == "testing") {
+      builder.add(wrappers::error_injection_gen(0.1, options.seed));
+    } else if (options.type == "repair") {
+      const simlib::SharedLibrary* lib = toolkit.library(soname);
+      if (lib == nullptr) return fail("no such library: " + soname);
+      auto policy = gen::derive_repair_policy(*campaign, *lib);
+      if (!policy.ok()) return fail(policy.error().message);
+      builder.add(wrappers::repair_gen(
+          std::make_shared<const gen::RepairPolicy>(std::move(policy).take())));
+    } else {
+      return fail("unknown wrapper type: " + options.type);
+    }
+    if (options.type != "security") builder.add(gen::call_counter_gen());
+    builder.add(gen::caller_gen());
   }
 
-  const auto source = toolkit.wrapper_source(soname, builder, campaign_ptr);
+  const auto source = toolkit.wrapper_source(soname, builder, campaign ? &*campaign : nullptr);
   if (!source.ok()) return fail(source.error().message);
   return emit(source.value(), options.out_path);
 }
 
+using Render = std::function<std::string()>;
+
+// Emits the rendering --format names: text, xml, or — for documents with a
+// wire form — binary. Only the chosen rendering is built.
+int emit_format(const Options& options, const Render& text, const Render& xml,
+                const Render& binary = nullptr) {
+  if (options.format == "text") return emit(text(), options.out_path);
+  if (options.format == "xml") return emit(xml(), options.out_path);
+  if (options.format == "binary" && binary) return emit(binary(), options.out_path);
+  return fail("unknown format: " + options.format +
+              (binary ? " (text|xml|binary)" : " (text|xml)"));
+}
+
 int cmd_inspect(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
   auto exe = demo_executable(options.positional[0]);
   if (!exe.ok()) return fail(exe.error().message);
   linker::LinkMap map = toolkit.inspect(exe.value());
@@ -543,10 +517,26 @@ int cmd_inspect(const core::Toolkit& toolkit, const Options& options) {
     std::fprintf(stderr, "validate: %zu stale import(s), run %s\n", map.stale_imports.size(),
                  outcome.to_string().c_str());
   }
-  if (options.format == "xml") return emit(xml::serialize(map.to_xml()), options.out_path);
-  if (options.format != "text") return fail("unknown format: " + options.format + " (text|xml)");
-  return emit(map.to_text(), options.out_path);
+  return emit_format(
+      options, [&] { return map.to_text(); }, [&] { return xml::serialize(map.to_xml()); });
 }
+
+// A demand-loaded run of one executable (debloat, dossier demo-drift): only
+// its static closure starts mapped, and a flight recorder watches the run.
+struct DemandRun {
+  DemandRun(const core::Toolkit& toolkit, const linker::Executable& exe)
+      : report(debloat::compute_reachability(exe, toolkit.catalog())),
+        proc(debloat::spawn_debloated(exe, toolkit.catalog(), report)) {
+    recorder.set_process_name(exe.name);
+    proc->set_observer(&recorder);
+    outcome = proc->run(exe.entry);
+  }
+
+  const debloat::ReachabilityReport report;
+  incident::FlightRecorder recorder;
+  std::unique_ptr<linker::Process> proc;
+  linker::CallOutcome outcome;
+};
 
 // Demand-driven debloating report (docs/debloat.md): computes the static
 // closure for a demo executable, runs it under the demand-loading barrier,
@@ -554,104 +544,77 @@ int cmd_inspect(const core::Toolkit& toolkit, const Options& options) {
 // persisted as HSSP1 surface-scope entries so later --debloat derives scope
 // their campaigns to it.
 int cmd_debloat(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
   auto exe = demo_executable(options.positional[0]);
   if (!exe.ok()) return fail(exe.error().message);
-  if (!options.cache_file.empty()) {
-    if (const int rc = load_spec_cache(toolkit, options.cache_file, nullptr); rc != 0) return rc;
-  }
+  if (const int rc = load_spec_cache(toolkit, options.cache_file); rc != 0) return rc;
 
-  const debloat::ReachabilityReport report =
-      debloat::compute_reachability(exe.value(), toolkit.catalog());
-  auto proc = debloat::spawn_debloated(exe.value(), toolkit.catalog(), report);
-  incident::FlightRecorder recorder;
-  recorder.set_process_name(exe.value().name);
-  proc->set_observer(&recorder);
-  const linker::CallOutcome outcome = proc->run(exe.value().entry);
-  const debloat::SurfaceProfile profile = debloat::capture_surface_profile(*proc, report, "local");
+  const DemandRun run(toolkit, exe.value());
+  const debloat::SurfaceProfile profile =
+      debloat::capture_surface_profile(*run.proc, run.report, "local");
   std::fprintf(stderr,
                "debloat: run %s; %llu/%llu symbol(s) mapped, %llu violation(s), "
                "%zu dossier(s)\n",
-               outcome.to_string().c_str(),
+               run.outcome.to_string().c_str(),
                static_cast<unsigned long long>(profile.touched),
                static_cast<unsigned long long>(profile.exported),
-               static_cast<unsigned long long>(profile.trapped), recorder.dossiers().size());
+               static_cast<unsigned long long>(profile.trapped), run.recorder.dossiers().size());
 
   if (!options.cache_file.empty()) {
-    const std::size_t installed = install_scopes_from(toolkit, exe.value(), report);
-    const auto saved = server::save_cache_file(toolkit, options.cache_file);
-    if (!saved.ok()) return fail(saved.error().message);
-    std::fprintf(stderr, "spec cache: saved %zu surface scope(s) to %s\n", installed,
-                 options.cache_file.c_str());
+    const std::size_t installed = install_scopes_from(toolkit, exe.value(), run.report);
+    if (const int rc = save_spec_cache(toolkit, options.cache_file, installed); rc != 0) return rc;
   }
 
-  if (options.format == "text") {
-    return emit(report.to_text() + profile.to_text(), options.out_path);
-  }
-  if (options.format == "xml") return emit(profile.to_xml(), options.out_path);
-  if (options.format == "binary") {
-    return emit(fleet::encode_surface_binary(profile), options.out_path);
-  }
-  return fail("unknown format: " + options.format + " (text|xml|binary)");
+  return emit_format(
+      options, [&] { return run.report.to_text() + profile.to_text(); },
+      [&] { return profile.to_xml(); }, [&] { return fleet::encode_surface_binary(profile); });
 }
 
-Result<fleet::SimulatorConfig> simulator_config(const Options& options) {
-  fleet::SimulatorConfig config;
-  config.hosts = static_cast<unsigned>(options.hosts);
-  config.docs_per_host = static_cast<unsigned>(options.docs);
-  config.seed = options.seed;
-  config.jobs = static_cast<unsigned>(options.jobs);
-  if (options.encoding == "xml") {
-    config.encoding = fleet::SimulatorConfig::Encoding::kXml;
-  } else if (options.encoding == "binary") {
-    config.encoding = fleet::SimulatorConfig::Encoding::kBinary;
-  } else if (options.encoding == "mixed") {
-    config.encoding = fleet::SimulatorConfig::Encoding::kMixed;
-  } else {
-    return Error("unknown encoding: " + options.encoding + " (xml|binary|mixed)");
-  }
-  return config;
-}
+using Encoding = fleet::SimulatorConfig::Encoding;
 
-// Reads a framed document stream and runs it through a fleet collector.
-// (unique_ptr: the collector owns mutexes/atomics and cannot move.)
-Result<std::unique_ptr<fleet::FleetCollector>> collect_stream(const std::string& path,
-                                                              const Options& options) {
-  auto text = read_file(path);
-  if (!text.ok()) return text.error();
-  auto documents = fleet::unframe_stream(text.value());
-  if (!documents.ok()) return Error(path + ": " + documents.error().message);
-  fleet::CollectorConfig config;
-  config.shards = static_cast<unsigned>(options.shards);
-  config.workers = static_cast<unsigned>(options.jobs);
-  config.queue_capacity = static_cast<std::size_t>(options.capacity);
-  auto collector = std::make_unique<fleet::FleetCollector>(config);
-  for (std::string& doc : documents.value()) collector->submit(std::move(doc));
-  collector->flush();
-  return collector;
+// Reads --encoding (fleet simulate, serve).
+Result<Encoding> parse_encoding(const std::string& name) {
+  if (name == "xml") return Encoding::kXml;
+  if (name == "binary") return Encoding::kBinary;
+  if (name == "mixed") return Encoding::kMixed;
+  return Error("unknown encoding: " + name + " (xml|binary|mixed)");
 }
 
 int cmd_fleet(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
   const std::string& sub = options.positional[0];
 
   if (sub == "simulate") {
-    auto config = simulator_config(options);
-    if (!config.ok()) return fail(config.error().message);
-    const fleet::FleetSimulator simulator(toolkit, config.value());
+    const auto encoding = parse_encoding(options.encoding);
+    if (!encoding.ok()) return fail(encoding.error().message);
+    fleet::SimulatorConfig config;
+    config.hosts = options.hosts;
+    config.docs_per_host = options.docs;
+    config.seed = options.seed;
+    config.jobs = options.jobs;
+    config.encoding = encoding.value();
+    const fleet::FleetSimulator simulator(toolkit, config);
     const auto documents = simulator.run();
-    std::fprintf(stderr, "%d host(s), %zu document(s)\n", options.hosts, documents.size());
+    std::fprintf(stderr, "%u host(s), %zu document(s)\n", options.hosts, documents.size());
     return emit(fleet::frame_stream(documents), options.out_path);
   }
 
   if (sub == "ingest" || sub == "report") {
     if (options.positional.size() < 2) return usage();
+    // Reads a framed document stream and runs it through a fleet collector.
+    const std::string& path = options.positional[1];
     const auto start = std::chrono::steady_clock::now();
-    auto collector = collect_stream(options.positional[1], options);
-    if (!collector.ok()) return fail(collector.error().message);
+    auto text = read_file(path);
+    if (!text.ok()) return fail(text.error().message);
+    auto documents = fleet::unframe_stream(text.value());
+    if (!documents.ok()) return fail(path + ": " + documents.error().message);
+    fleet::CollectorConfig config;
+    config.shards = options.shards;
+    config.workers = options.jobs;
+    config.queue_capacity = options.capacity.value_or(4096);
+    fleet::FleetCollector server(config);
+    for (std::string& doc : documents.value()) server.submit(std::move(doc));
+    server.flush();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    const fleet::FleetCollector& server = *collector.value();
     if (sub == "ingest") {
       std::printf("ingested %llu/%llu document(s) on %u shard(s): %llu malformed, "
                   "%llu dropped (%.0f docs/sec)\n",
@@ -678,33 +641,22 @@ int cmd_fleet(const core::Toolkit& toolkit, const Options& options) {
 // format is byte-identical across runs.
 int emit_dossier(const incident::FlightRecorder& recorder, const Options& options) {
   const incident::Dossier& dossier = recorder.dossiers().front();
-  if (options.format == "text") return emit(dossier.to_text(), options.out_path);
-  if (options.format == "xml") return emit(xml::serialize(dossier.to_xml()), options.out_path);
-  if (options.format == "binary") {
-    return emit(fleet::encode_dossier_binary(dossier), options.out_path);
-  }
-  return fail("unknown format: " + options.format + " (text|xml|binary)");
+  return emit_format(
+      options, [&] { return dossier.to_text(); }, [&] { return xml::serialize(dossier.to_xml()); },
+      [&] { return fleet::encode_dossier_binary(dossier); });
 }
 
 int cmd_dossier(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty()) return usage();
   const std::string& scenario = options.positional[0];
   if (scenario == "demo-drift") {
     // Surface-drift scenario: the victim's stale import list leaves rand()
     // outside the static closure, so under demand loading the call traps as
     // a surface violation and the recorder snapshots the incident.
-    const linker::Executable exe = attacks::drift_victim_executable();
-    const debloat::ReachabilityReport report =
-        debloat::compute_reachability(exe, toolkit.catalog());
-    auto proc = debloat::spawn_debloated(exe, toolkit.catalog(), report);
-    incident::FlightRecorder recorder;
-    recorder.set_process_name(exe.name);
-    proc->set_observer(&recorder);
-    const linker::CallOutcome outcome = proc->run(exe.entry);
-    if (recorder.dossiers().empty()) {
-      return fail("no detector fired (" + outcome.to_string() + "); no dossier captured");
+    const DemandRun run(toolkit, attacks::drift_victim_executable());
+    if (run.recorder.dossiers().empty()) {
+      return fail("no detector fired (" + run.outcome.to_string() + "); no dossier captured");
     }
-    return emit_dossier(recorder, options);
+    return emit_dossier(run.recorder, options);
   }
   auto wrapper = toolkit.security_wrapper("libsimc.so.1");
   if (options.repair) {
@@ -747,17 +699,14 @@ int cmd_dossier(const core::Toolkit& toolkit, const Options& options) {
 // of the options, so the rendered summary is byte-identical across reruns
 // and across --jobs values.
 int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
-  const bool mixed = options.encoding == "mixed";
-  if (!mixed && options.encoding != "xml" && options.encoding != "binary") {
-    return fail("unknown encoding: " + options.encoding + " (xml|binary|mixed)");
-  }
-  if (!options.cache_file.empty()) {
-    if (const int rc = load_spec_cache(toolkit, options.cache_file, nullptr); rc != 0) return rc;
-  }
+  const auto encoding = parse_encoding(options.encoding);
+  if (!encoding.ok()) return fail(encoding.error().message);
+  const bool mixed = encoding.value() == Encoding::kMixed;
+  if (const int rc = load_spec_cache(toolkit, options.cache_file); rc != 0) return rc;
   server::ServerConfig config;
-  config.shards = options.shards > 0 ? static_cast<unsigned>(options.shards) : 1;
-  config.queue_capacity = options.capacity > 0 ? static_cast<std::size_t>(options.capacity) : 1;
-  config.workers = options.jobs >= 0 ? static_cast<unsigned>(options.jobs) : 1;
+  config.shards = options.shards;
+  config.queue_capacity = options.capacity.value_or(4096);
+  config.workers = options.jobs;
   config.debloat = options.debloat;
   if (options.debloat && toolkit.export_surface_scopes().empty()) {
     // No cache file supplied scopes: the demo executables' closures stand in,
@@ -775,8 +724,8 @@ int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
   if (options.repair) bundles.push_back(server::BundleKind::kRepair);
   std::vector<server::DeriveServer::Ticket> tickets;
   std::size_t n = 0;
-  for (int client = 0; client < options.clients; ++client) {
-    for (int request = 0; request < options.requests; ++request, ++n) {
+  for (unsigned client = 0; client < options.clients; ++client) {
+    for (unsigned request = 0; request < options.requests; ++request, ++n) {
       server::DeriveRequest req;
       req.soname = sonames[n % sonames.size()];
       req.seed = options.seed;
@@ -786,7 +735,7 @@ int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
         req.endpoint = server::Endpoint::kBundle;
         req.bundle = bundles[(n / 4) % bundles.size()];
       }
-      req.format = (mixed ? (n % 2 == 1) : options.encoding == "binary")
+      req.format = (mixed ? (n % 2 == 1) : encoding.value() == Encoding::kBinary)
                        ? server::WireFormat::kBinary
                        : server::WireFormat::kXml;
       tickets.push_back(server.submit(req.encode()));
@@ -797,15 +746,12 @@ int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
   std::fputs(server.render_summary().c_str(), stdout);
   std::printf("  probes executed this run: %llu\n",
               static_cast<unsigned long long>(toolkit.probes_executed()));
+  const auto latency = [&server](server::Endpoint endpoint, double quantile) {
+    return static_cast<unsigned long long>(server.wall_latency_micros(endpoint, quantile));
+  };
   std::fprintf(stderr, "wall latency us: derive p50=%llu p99=%llu, bundle p50=%llu p99=%llu\n",
-               static_cast<unsigned long long>(
-                   server.wall_latency_micros(server::Endpoint::kDerive, 0.50)),
-               static_cast<unsigned long long>(
-                   server.wall_latency_micros(server::Endpoint::kDerive, 0.99)),
-               static_cast<unsigned long long>(
-                   server.wall_latency_micros(server::Endpoint::kBundle, 0.50)),
-               static_cast<unsigned long long>(
-                   server.wall_latency_micros(server::Endpoint::kBundle, 0.99)));
+               latency(server::Endpoint::kDerive, 0.50), latency(server::Endpoint::kDerive, 0.99),
+               latency(server::Endpoint::kBundle, 0.50), latency(server::Endpoint::kBundle, 0.99));
   // Per-campaign subsumption-pruning telemetry. Scheduling-dependent (like
   // the wall latencies above): a warm profile learned from whichever campaign
   // finished first shifts the executed/implied split — so stderr only, never
@@ -825,36 +771,17 @@ int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
     // Repair-policy census across everything the drain derived. Stderr like
     // the telemetry above: the byte-compared summary must not depend on
     // whether --repair bundles were in the rotation.
-    std::size_t rules = 0;
-    std::size_t truncate = 0;
-    std::size_t substitute = 0;
-    std::size_t safe_return = 0;
+    RuleCensus census;
     const auto policies = toolkit.export_repair_policies();
-    for (const core::CachedRepairPolicy& entry : policies) {
-      for (const gen::FunctionRepairPolicy& fn : entry.policy.functions) {
-        for (const gen::RepairRule& rule : fn.rules) {
-          ++rules;
-          switch (rule.action) {
-            case simlib::RepairAction::kTruncateWrite: ++truncate; break;
-            case simlib::RepairAction::kSubstituteBounded:
-            case simlib::RepairAction::kSynthesizeInput: ++substitute; break;
-            case simlib::RepairAction::kSafeReturn: ++safe_return; break;
-          }
-        }
-      }
-    }
+    for (const core::CachedRepairPolicy& entry : policies) census.add(entry.policy);
     std::fprintf(stderr,
                  "repair: %zu policy(ies) derived, %zu rule(s): %zu truncate, "
                  "%zu substitute, %zu safe-return\n",
-                 policies.size(), rules, truncate, substitute, safe_return);
+                 policies.size(), census.rules, census.truncate, census.substitute,
+                 census.safe_return);
   }
 
-  if (!options.cache_file.empty()) {
-    const auto saved = server::save_cache_file(toolkit, options.cache_file);
-    if (!saved.ok()) return fail(saved.error().message);
-    std::fprintf(stderr, "spec cache: saved %zu campaign(s) to %s\n",
-                 toolkit.export_campaigns().size(), options.cache_file.c_str());
-  }
+  if (const int rc = save_spec_cache(toolkit, options.cache_file); rc != 0) return rc;
 
   if (!options.out_path.empty()) {
     // Responses in ticket (submission) order, wrapped in the same stream
@@ -865,8 +792,7 @@ int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
       const auto response = server.response(ticket);
       responses.push_back(response ? *response : std::string());
     }
-    const int rc = emit(fleet::frame_stream(responses), options.out_path);
-    if (rc != 0) return rc;
+    if (const int rc = emit(fleet::frame_stream(responses), options.out_path); rc != 0) return rc;
   }
 
   const auto stats = server.stats();
@@ -881,21 +807,19 @@ int cmd_serve(const core::Toolkit& toolkit, const Options& options) {
 int cmd_simulate(const core::Toolkit& toolkit, const Options& options) {
   const auto traffic = sim::traffic_model_from_name(options.traffic);
   if (!traffic.ok()) return fail(traffic.error().message);
-  if (options.hosts <= 0 || options.shards <= 0 || options.jobs < 0 ||
-      options.virtual_seconds == 0 || options.capacity <= 0) {
+  if (options.hosts == 0 || options.shards == 0 || options.virtual_seconds == 0 ||
+      options.capacity == 0u) {
     return fail("simulate: --hosts/--shards/--capacity/--virtual-seconds must be positive");
   }
   sim::SimConfig config;
-  config.hosts = static_cast<std::uint32_t>(options.hosts);
+  config.hosts = options.hosts;
   config.virtual_seconds = options.virtual_seconds;
   config.seed = options.seed;
   config.traffic = traffic.value();
-  config.shards = static_cast<unsigned>(options.shards);
-  config.jobs = static_cast<unsigned>(options.jobs);
+  config.shards = options.shards;
+  config.jobs = options.jobs;
   config.debloat = options.debloat;
-  if (options.capacity_set) {
-    config.collector.queue_capacity = static_cast<std::size_t>(options.capacity);
-  }
+  if (options.capacity) config.collector.queue_capacity = *options.capacity;
 
   const auto start = std::chrono::steady_clock::now();
   sim::FleetSim simulation(toolkit, config);
@@ -930,7 +854,7 @@ int cmd_simulate(const core::Toolkit& toolkit, const Options& options) {
 }
 
 int cmd_demo(const core::Toolkit& toolkit, const Options& options) {
-  if (options.positional.empty() || options.positional[0] != "attacks") return usage();
+  if (options.positional[0] != "attacks") return usage();
   const auto plain = attacks::run_heap_smash_attack(toolkit.catalog(), {});
   std::printf("unprotected heap attack:\n%s\n", plain.narrative.c_str());
   const auto guarded = attacks::run_heap_smash_attack(
@@ -953,6 +877,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "healers: %s\n", options.error().message.c_str());
     return 2;
   }
+  // Every other command names a subject: a soname, file, demo or fleet verb.
+  const bool subjectless = command == "list-libs" || command == "serve" || command == "simulate";
+  if (!subjectless && options.value().positional.empty()) return usage();
 
   core::Toolkit toolkit;
   if (command == "list-libs") return cmd_list_libs(toolkit);
