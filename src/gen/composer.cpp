@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "parser/manpage.hpp"
-
 namespace healers::gen {
 
 ComposedWrapper::ComposedWrapper(std::string name, std::shared_ptr<WrapperStats> stats)
@@ -108,7 +106,7 @@ namespace {
 
 // Shared per-function iteration for build() and emit_library_source().
 struct WrapTarget {
-  parser::ManPage page;
+  const parser::ManPage* page;  // in the library's page table
   int function_id;
   const injector::RobustSpec* spec;
 };
@@ -118,14 +116,9 @@ Result<std::vector<WrapTarget>> collect_targets(const simlib::SharedLibrary& lib
   std::vector<WrapTarget> out;
   int next_id = kFirstFunctionId;
   for (const std::string& name : lib.names()) {
-    const simlib::Symbol* symbol = lib.find(name);
-    auto page = parser::parse_manpage(symbol->manpage);
-    if (!page.ok()) {
-      return Error("wrapping " + name + ": " + page.error().message);
-    }
-    WrapTarget target{std::move(page).take(), next_id++, nullptr};
-    if (campaign != nullptr) target.spec = campaign->spec(name);
-    out.push_back(std::move(target));
+    const Result<parser::ManPage>& page = lib.page(name);
+    if (!page.ok()) return Error("wrapping " + name + ": " + page.error().message);
+    out.push_back({&page.value(), next_id++, campaign != nullptr ? campaign->spec(name) : nullptr});
   }
   if (out.empty()) return Error("library " + lib.soname() + " has no wrappable functions");
   return out;
@@ -139,7 +132,7 @@ Result<std::shared_ptr<ComposedWrapper>> WrapperBuilder::build(
   if (!targets.ok()) return targets.error();
   auto wrapper = std::make_shared<ComposedWrapper>(name_, std::make_shared<WrapperStats>());
   for (const WrapTarget& target : targets.value()) {
-    GenContext ctx{target.page.proto, target.function_id, target.spec, &target.page};
+    GenContext ctx{target.page->proto, target.function_id, target.spec, target.page};
     wrapper->wrap_function(ctx, gens_);
   }
   return wrapper;
@@ -151,7 +144,7 @@ Result<std::string> WrapperBuilder::emit_library_source(
   if (!targets.ok()) return targets.error();
   std::string out = "/* " + name_ + ": generated wrapper for " + lib.soname() + " */\n\n";
   for (const WrapTarget& target : targets.value()) {
-    GenContext ctx{target.page.proto, target.function_id, target.spec, &target.page};
+    GenContext ctx{target.page->proto, target.function_id, target.spec, target.page};
     out += emit_wrapper_source(ctx, gens_);
     out += '\n';
   }

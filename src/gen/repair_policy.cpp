@@ -90,8 +90,7 @@ Result<RepairPolicy> derive_repair_policy(const injector::CampaignResult& campai
   out.library = lib.soname();
   out.seed = campaign.seed;
   for (const std::string& name : lib.names()) {
-    const simlib::Symbol* symbol = lib.find(name);
-    auto page = parser::parse_manpage(symbol->manpage);
+    const Result<parser::ManPage>& page = lib.page(name);
     if (!page.ok()) return Error("repair-policy for " + name + ": " + page.error().message);
     const injector::RobustSpec* spec = campaign.spec(name);
     if (spec == nullptr) continue;

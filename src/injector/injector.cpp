@@ -165,22 +165,6 @@ CampaignEngineStats FaultInjector::engine_stats() const noexcept {
   return stats;
 }
 
-const FaultInjector::PageEntry& FaultInjector::page_for(const simlib::SharedLibrary& lib,
-                                                        const simlib::Symbol& symbol) {
-  std::lock_guard lock(pages_mutex_);
-  auto [it, inserted] = pages_.try_emplace(lib.soname() + ':' + symbol.name);
-  if (inserted) {
-    auto parsed = parser::parse_manpage(symbol.manpage);
-    if (parsed.ok()) {
-      it->second.ok = true;
-      it->second.page = std::move(parsed).take();
-    } else {
-      it->second.error = parsed.error().message;
-    }
-  }
-  return it->second;
-}
-
 void FaultInjector::fabricate_safe_args(WorkerBed& wb, const ProbeTask& task) {
   const parser::ManPage& page = *task.page;
   Rng rng(probe_seed(config_.seed, task.fn_hash, kSafeArgsSlot, TestTypeId::kNull, 0));
@@ -608,11 +592,11 @@ Result<RobustSpec> FaultInjector::probe_function(const simlib::SharedLibrary& li
   if (symbol == nullptr) {
     return Error("probe_function: " + lib.soname() + " does not define " + name);
   }
-  const PageEntry& entry = page_for(lib, *symbol);
-  if (!entry.ok) {
-    return Error("probe_function: man page of " + name + ": " + entry.error);
+  const Result<parser::ManPage>& page = lib.page(name);
+  if (!page.ok()) {
+    return Error("probe_function: man page of " + name + ": " + page.error().message);
   }
-  std::vector<RobustSpec> specs = build_specs(lib, {{symbol, &entry.page}});
+  std::vector<RobustSpec> specs = build_specs(lib, {{symbol, &page.value()}});
   return std::move(specs.front());
 }
 
@@ -621,8 +605,8 @@ Result<CampaignResult> FaultInjector::run_campaign(
   CampaignResult result;
   result.library = lib.soname();
   result.seed = config_.seed;
-  // Prescan: parse (and memoize) every man page before fanning out, so parse
-  // failures surface deterministically and workers never touch the cache.
+  // Prescan: look up every man page before fanning out, so parse failures
+  // surface deterministically in name order.
   std::vector<std::pair<const simlib::Symbol*, const parser::ManPage*>> functions;
   for (const std::string& name : lib.names()) {
     if (!config_.only_functions.empty() &&
@@ -635,11 +619,11 @@ Result<CampaignResult> FaultInjector::run_campaign(
     if (symbol == nullptr) {
       return Error("probe_function: " + lib.soname() + " does not define " + name);
     }
-    const PageEntry& entry = page_for(lib, *symbol);
-    if (!entry.ok) {
-      return Error("probe_function: man page of " + name + ": " + entry.error);
+    const Result<parser::ManPage>& page = lib.page(name);
+    if (!page.ok()) {
+      return Error("probe_function: man page of " + name + ": " + page.error().message);
     }
-    functions.emplace_back(symbol, &entry.page);
+    functions.emplace_back(symbol, &page.value());
   }
   const CampaignEngineStats before = engine_stats();
   result.specs = build_specs(lib, functions);

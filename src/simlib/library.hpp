@@ -9,15 +9,21 @@
 //
 // The toolkit never reads prototypes out of band: it parses header_text()
 // and manpages with src/parser, exactly as the paper's tool parsed glibc's
-// headers and man pages.
+// headers and man pages. The parsed man pages live here, in one table per
+// library (page()), shared by every campaign, wrapper build, repair policy
+// and reachability walk over the library.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "parser/manpage.hpp"
 #include "simlib/value.hpp"
+#include "support/result.hpp"
 
 namespace healers::simlib {
 
@@ -33,7 +39,8 @@ class SharedLibrary {
   SharedLibrary(std::string soname, std::string version)
       : soname_(std::move(soname)), version_(std::move(version)) {}
 
-  // Registers a symbol; throws std::invalid_argument on duplicates.
+  // Registers a symbol; throws std::invalid_argument on duplicates. Resets
+  // the parsed-page table, so the next page() call sees the new symbol.
   void add(Symbol symbol);
 
   [[nodiscard]] const std::string& soname() const noexcept { return soname_; }
@@ -57,10 +64,22 @@ class SharedLibrary {
   // it so an updated library never serves stale specs.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
+  // The parsed man page of a defined symbol (throws std::out_of_range for an
+  // undefined one). The first call parses every page of the library, once
+  // (std::call_once), so concurrent callers are safe; the table is immutable
+  // until the next add(), and references into it stay valid until then.
+  [[nodiscard]] const Result<parser::ManPage>& page(const std::string& name) const;
+
  private:
+  struct PageTable {
+    std::once_flag parsed;
+    std::map<std::string, Result<parser::ManPage>> pages;
+  };
+
   std::string soname_;
   std::string version_;
   std::map<std::string, Symbol> symbols_;
+  std::unique_ptr<PageTable> pages_ = std::make_unique<PageTable>();
 };
 
 // Builders for the stock simulated libraries (see each funcs_*.cpp):

@@ -1,10 +1,16 @@
 // Unit tests for the micro-generator framework: per-generator code
 // fragments, the Fig 3 golden wrapper source, composer call semantics
-// (prefix order, postfix reversal, short-circuit), the library builder, and
-// wrapper stats.
+// (prefix order, postfix reversal, short-circuit), the library builder,
+// wrapper stats, and the library's parsed-page table that the builder, the
+// repair policy, the reachability walk and the injector all read.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "debloat/reachability.hpp"
 #include "gen/composer.hpp"
+#include "gen/repair_policy.hpp"
+#include "injector/injector.hpp"
 #include "parser/manpage.hpp"
 #include "testbed.hpp"
 
@@ -277,6 +283,91 @@ TEST(WrapperStats, TraceRespectsLimit) {
   stats.set_trace_limit(2);
   for (int i = 0; i < 5; ++i) stats.append_trace(TraceRecord{"f", {}, "ok"});
   EXPECT_EQ(stats.trace().size(), 2u);
+}
+
+// --- the parsed-page table (SharedLibrary::page) ---------------------------
+
+simlib::Symbol symbol_with_page(const std::string& name, const std::string& notes) {
+  simlib::Symbol symbol;
+  symbol.name = name;
+  symbol.declaration = "int " + name + "(int x);";
+  symbol.manpage =
+      "NAME\n  " + name + " - test\nSYNOPSIS\n  int " + name + "(int x);\nNOTES\n" + notes;
+  symbol.fn = [](simlib::CallContext& ctx) { return simlib::SimValue::integer(ctx.arg_int(0)); };
+  return symbol;
+}
+
+TEST(PageTable, RepeatedCallsReturnTheSameObject) {
+  const simlib::SharedLibrary& lib = testbed::libsimc();
+  const Result<parser::ManPage>& first = lib.page("strcpy");
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().name, "strcpy");
+  EXPECT_EQ(&lib.page("strcpy"), &first);
+  EXPECT_EQ(&lib.page("strcpy").value(), &first.value());
+  (void)lib.page("memcpy");  // other lookups leave earlier references alone
+  EXPECT_EQ(&lib.page("strcpy"), &first);
+}
+
+TEST(PageTable, UndefinedSymbolThrows) {
+  EXPECT_THROW((void)testbed::libsimm().page("strcpy"), std::out_of_range);
+}
+
+TEST(PageTable, AddAfterPageExposesTheNewSymbol) {
+  simlib::SharedLibrary lib("libgrow.so.1", "1");
+  lib.add(symbol_with_page("first", ""));
+  ASSERT_TRUE(lib.page("first").ok());
+  EXPECT_THROW((void)lib.page("second"), std::out_of_range);
+  lib.add(symbol_with_page("second", "  CALLS first\n"));
+  ASSERT_TRUE(lib.page("second").ok());
+  EXPECT_EQ(lib.page("second").value().calls, std::vector<std::string>{"first"});
+  EXPECT_TRUE(lib.page("first").ok());
+}
+
+// One unparseable page fails every caller of the table with the message it
+// gave when each parsed for itself; the reachability walk takes no edges
+// from it.
+TEST(PageTable, UnparseablePageFailsEveryCaller) {
+  const std::string bad_notes = "  BOGUS 1\n";
+  simlib::SharedLibrary lib("libbad.so.1", "1");
+  lib.add(symbol_with_page("bad", bad_notes));
+  lib.add(symbol_with_page("good", "  CALLS bad\n"));
+  const std::string why =
+      parser::parse_manpage(symbol_with_page("bad", bad_notes).manpage).error().message;
+  ASSERT_FALSE(lib.page("bad").ok());
+  EXPECT_EQ(lib.page("bad").error().message, why);
+
+  WrapperBuilder builder("w");
+  builder.add(prototype_gen()).add(caller_gen());
+  const auto wrapper = builder.build(lib);
+  ASSERT_FALSE(wrapper.ok());
+  EXPECT_EQ(wrapper.error().message, "wrapping bad: " + why);
+  const auto source = builder.emit_library_source(lib);
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.error().message, "wrapping bad: " + why);
+
+  const auto policy = derive_repair_policy(injector::CampaignResult{}, lib);
+  ASSERT_FALSE(policy.ok());
+  EXPECT_EQ(policy.error().message, "repair-policy for bad: " + why);
+
+  linker::LibraryCatalog catalog;
+  catalog.install(&lib);
+  injector::FaultInjector injector(catalog, injector::InjectorConfig{});
+  const auto probed = injector.probe_function(lib, "bad");
+  ASSERT_FALSE(probed.ok());
+  EXPECT_EQ(probed.error().message, "probe_function: man page of bad: " + why);
+  const auto campaign = injector.run_campaign(lib);
+  ASSERT_FALSE(campaign.ok());
+  EXPECT_EQ(campaign.error().message, "probe_function: man page of bad: " + why);
+  EXPECT_EQ(injector.probes_executed(), 0u);
+
+  linker::Executable exe;
+  exe.name = "bad-user";
+  exe.needed = {"libbad.so.1"};
+  exe.undefined = {"bad", "good"};
+  const debloat::ReachabilityReport report = debloat::compute_reachability(exe, catalog);
+  EXPECT_EQ(report.reachable, (std::vector<std::string>{"bad", "good"}));
+  ASSERT_EQ(report.edges.size(), 1u);
+  EXPECT_EQ(report.edges[0], (std::pair<std::string, std::string>{"good", "bad"}));
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Tests for the parallel snapshot-based campaign engine: the determinism
 // guarantee (bit-identical specs for every jobs value and either testbed
 // reset mode), the snapshot/restore machinery it is built on, the kNotRun
-// probe outcome, and the toolkit's campaign cache.
+// probe outcome, the toolkit's campaign cache, and concurrent first use of
+// a library's parsed-page table.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <thread>
 
 #include "core/toolkit.hpp"
 #include "injector/injector.hpp"
@@ -217,6 +221,58 @@ TEST(ToolkitCampaignCache, SchedulingKnobsShareOneCacheSlot) {
   config.snapshot_reset = false;
   ASSERT_TRUE(toolkit.derive_robust_api("libsimm.so.1", config).ok());
   EXPECT_EQ(toolkit.probes_executed(), after_first);
+}
+
+// --- concurrent first use of the parsed-page table ---------------------------
+
+// Four threads make the first page() calls on a fresh library at once: the
+// library is parsed once and every thread reads the same entries.
+TEST(PageTableConcurrency, FirstUseFromFourThreadsSharesOneTable) {
+  const simlib::SharedLibrary lib = simlib::build_libsimc();
+  const std::vector<std::string> names = lib.names();
+  std::vector<std::vector<const parser::ManPage*>> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& pages : seen) {
+    threads.emplace_back([&lib, &names, &pages] {
+      for (const std::string& name : names) pages.push_back(&lib.page(name).value());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(seen[0][i]->name, names[i]);
+    for (const auto& pages : seen) EXPECT_EQ(pages[i], seen[0][i]) << names[i];
+  }
+}
+
+// A jobs=4 campaign and three wrapper builds race on a fresh toolkit's
+// first use of libsimio's pages; the campaign document matches a jobs=1
+// derive on another fresh toolkit byte for byte.
+TEST(PageTableConcurrency, CampaignAndWrapperBuildsShareFirstUse) {
+  InjectorConfig config;
+  config.seed = 9;
+  config.jobs = 4;
+  core::Toolkit toolkit;
+  std::optional<Result<CampaignResult>> campaign;
+  std::vector<std::size_t> wrapped(3, 0);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { campaign = toolkit.derive_robust_api("libsimio.so.1", config); });
+  for (std::size_t& count : wrapped) {
+    threads.emplace_back([&toolkit, &count] {
+      auto wrapper = toolkit.profiling_wrapper("libsimio.so.1");
+      if (wrapper.ok()) count = wrapper.value()->wrapped_count();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_TRUE(campaign.has_value() && campaign->ok());
+  for (const std::size_t count : wrapped) {
+    EXPECT_EQ(count, toolkit.library("libsimio.so.1")->size());
+  }
+
+  config.jobs = 1;
+  const auto sequential = core::Toolkit().derive_robust_api("libsimio.so.1", config);
+  ASSERT_TRUE(sequential.ok());
+  EXPECT_EQ(xml::serialize(campaign->value().to_xml()),
+            xml::serialize(sequential.value().to_xml()));
 }
 
 }  // namespace
