@@ -32,6 +32,9 @@ class FleetSimulator {
   // Emits hosts * docs_per_host documents, host-major order.
   [[nodiscard]] std::vector<std::string> run() const;
 
+  // The config in effect: a 0 host or document count is run as 1.
+  [[nodiscard]] const SimulatorConfig& config() const noexcept { return config_; }
+
   // Process name of one app run ("host03/app007") — the placement key tests
   // and the collector's sketch sharding rely on.
   [[nodiscard]] static std::string process_name(unsigned host, unsigned doc);

@@ -593,7 +593,8 @@ int cmd_fleet(const core::Toolkit& toolkit, const Options& options) {
     config.encoding = encoding.value();
     const fleet::FleetSimulator simulator(toolkit, config);
     const auto documents = simulator.run();
-    std::fprintf(stderr, "%u host(s), %zu document(s)\n", options.hosts, documents.size());
+    std::fprintf(stderr, "%u host(s), %zu document(s)\n", simulator.config().hosts,
+                 documents.size());
     return emit(fleet::frame_stream(documents), options.out_path);
   }
 
