@@ -77,6 +77,7 @@ run_cases() {
   # Help and usage.
   golden "" "" help
   golden "" "" --help
+  golden "" "" help --defaults
   golden "" ""
   golden "" "" bogus-command
 

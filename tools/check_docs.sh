@@ -13,6 +13,9 @@
 #      README.md.
 #   4. Same for debloat mode: while `--debloat` exists, docs/debloat.md must
 #      be present and referenced from the same three entry points.
+#   5. Every row of a docs/cli.md flag table names a real flag, and its
+#      default column is the default the binary uses, as listed by
+#      `healers help --defaults`.
 #
 # Usage: tools/check_docs.sh <healers-binary> <repo-root>
 set -eu
@@ -91,6 +94,38 @@ if printf '%s\n' "$flags" | grep -qx -- '--debloat'; then
   fi
 fi
 
+# --- 1e. documented defaults are the binary's own --------------------------
+# `healers help --defaults` prints "<flag> <default>" per flag, read from the
+# CLI's flag tables; "-" means the command picks the value (stdout, none, a
+# per-command capacity), so any wording passes there. Rows of the tables
+# headed "| flag | default | meaning |" are "| `<flag> [ARG]` | <default> |
+# ...", with backticks and escaped pipes (`fork\|fresh`) allowed.
+drift="$("$healers" help --defaults | awk -v doc="$cli_doc" '
+  { listed[$1] = $2 }
+  END {
+    section = "common flags"
+    while ((getline line < doc) > 0) {
+      if (line ~ /^### `healers /) { split(line, head, /[` ]+/); section = head[2] " " head[3] }
+      if (line ~ /^\| flag \| default \|/) { table = 1; continue }
+      if (line !~ /^\|/) { table = 0; continue }
+      if (!table || line ~ /^\|---/) continue
+      gsub(/\\\|/, "/", line); gsub(/`/, "", line)
+      split(line, column, "|")
+      split(column[2], words, " ")
+      flag = words[1]
+      value = column[3]; gsub(/^ +| +$/, "", value)
+      if (!(flag in listed)) {
+        print section ": documented flag " flag " is not a healers flag"
+      } else if (listed[flag] != "-" && listed[flag] != value) {
+        print section ": " flag " is documented with default " value " but healers uses " listed[flag]
+      }
+    }
+  }')"
+if [ -n "$drift" ]; then
+  printf '%s\n' "$drift" | sed 's/^/check_docs: /' >&2
+  fail=1
+fi
+
 # --- 2. every relative markdown link resolves -------------------------------
 for md in "$root"/*.md "$root"/docs/*.md; do
   [ -f "$md" ] || continue
@@ -114,4 +149,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED — docs drifted from the CLI or contain broken links" >&2
   exit 1
 fi
-echo "check_docs: docs/cli.md matches 'healers help'; all markdown links resolve"
+echo "check_docs: docs/cli.md matches 'healers help' and its defaults; all markdown links resolve"

@@ -198,6 +198,32 @@ const std::map<std::string, bool Options::*> kSwitches = {
     {"--repair", &Options::repair},     {"--validate", &Options::validate},
     {"--debloat", &Options::debloat}};
 
+// `healers help --defaults`, left out of the usage text: each flag and the
+// default parse_options starts it from, read from the tables above ("-"
+// when the command picks it). tools/check_docs.sh checks docs/cli.md
+// against this listing.
+template <class T>
+std::string default_text(const T& value) {
+  return std::to_string(value);
+}
+std::string default_text(const std::optional<unsigned>& value) {
+  return value ? std::to_string(*value) : "-";
+}
+
+void print_defaults() {
+  const Options defaults;
+  std::map<std::string, std::string> listing;
+  for (const auto& [flag, field] : kStringFlags) {
+    const std::string& value = defaults.*field;
+    listing[flag] = value.empty() ? "-" : value;
+  }
+  for (const auto& [flag, field] : kNumberFlags) {
+    listing[flag] = std::visit([&](auto member) { return default_text(defaults.*member); }, field);
+  }
+  for (const auto& [flag, field] : kSwitches) listing[flag] = defaults.*field ? "on" : "off";
+  for (const auto& [flag, value] : listing) std::printf("%s %s\n", flag.c_str(), value.c_str());
+}
+
 // Parses a flag's whole value as a number in T's range. Counts (unsigned)
 // stop at INT_MAX: the engine knobs they feed are ints.
 template <class T>
@@ -870,7 +896,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   if (command == "help" || command == "--help" || command == "-h") {
-    print_usage(stdout);
+    if (argc > 2 && std::string(argv[2]) == "--defaults") {
+      print_defaults();
+    } else {
+      print_usage(stdout);
+    }
     return 0;
   }
   auto options = parse_options(argc, argv);
