@@ -9,14 +9,15 @@ void SharedLibrary::add(Symbol symbol) {
     throw std::invalid_argument("SharedLibrary::add: duplicate symbol " + symbol.name);
   }
   symbols_.emplace(symbol.name, std::move(symbol));
-  pages_ = std::make_unique<PageTable>();
+  if (pages_->parsed) pages_ = std::make_unique<PageTable>();
 }
 
 const Result<parser::ManPage>& SharedLibrary::page(const std::string& name) const {
-  std::call_once(pages_->parsed, [this] {
+  std::call_once(pages_->once, [this] {
     for (const auto& [symbol_name, symbol] : symbols_) {
       pages_->pages.emplace(symbol_name, parser::parse_manpage(symbol.manpage));
     }
+    pages_->parsed = true;
   });
   return pages_->pages.at(name);
 }

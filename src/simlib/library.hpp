@@ -72,7 +72,8 @@ class SharedLibrary {
 
  private:
   struct PageTable {
-    std::once_flag parsed;
+    std::once_flag once;
+    bool parsed = false;  // set inside the call_once; add() reads it
     std::map<std::string, Result<parser::ManPage>> pages;
   };
 
