@@ -256,7 +256,6 @@ class FaultInjector {
   std::atomic<std::uint64_t> pages_privatized_{0};
   std::atomic<std::uint64_t> pages_dropped_{0};
 
-
   std::unique_ptr<support::ThreadPool> pool_;  // created on first parallel run
 };
 
